@@ -1,7 +1,7 @@
 """ctcfst: blank-regularized CTC training graphs over weighted FSTs.
 
 Builds CTC topology and training graphs (standard, soft self-loop penalty,
-hard repeat bound), computes exact lattice losses and gradients, analyzes
+hard repeat bound), computes exact losses and gradients, analyzes
 blank-frame skipping, and runs small synthetic training experiments.
 """
 

@@ -148,22 +148,34 @@ def _parse_run_spec(raw: str) -> RunSpec:
     return RunSpec(variant, skip_beta=skip_beta)
 
 
+def _config_int(value) -> int:
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def _config_floats(value) -> list[float]:
+    if not isinstance(value, list):
+        raise ValueError(f"{value!r} is not a list of numbers")
+    return [float(v) for v in value]
+
+
 _CONFIG_KEYS = {
-    "seed": int,
-    "vocab_size": int,
-    "feature_dim": int,
-    "stretch": int,
+    "seed": _config_int,
+    "vocab_size": _config_int,
+    "feature_dim": _config_int,
+    "stretch": _config_int,
     "noise": float,
-    "train_utterances": int,
-    "eval_utterances": int,
-    "min_tokens": int,
-    "max_tokens": int,
+    "train_utterances": _config_int,
+    "eval_utterances": _config_int,
+    "min_tokens": _config_int,
+    "max_tokens": _config_int,
     "sustain_scale": float,
-    "steps": int,
+    "steps": _config_int,
     "step_size": float,
     "warmup_fraction": float,
     "skip_beta": float,
-    "betas": list,
+    "betas": _config_floats,
 }
 
 
@@ -191,7 +203,10 @@ def _experiment_settings(args: argparse.Namespace) -> dict:
         for key, value in overrides.items():
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"unknown config key {key!r}")
-            settings[key] = None if value is None else _CONFIG_KEYS[key](value)
+            try:
+                settings[key] = None if value is None else _CONFIG_KEYS[key](value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from None
     return settings
 
 

@@ -277,6 +277,8 @@ def fst_from_text(text: str) -> Fst:
         return Fst()
     if final is None:
         raise ValueError("missing final-state line")
+    if any(src == final for src, *_ in arcs):
+        raise ValueError(f"final state {final} has outgoing arcs")
     out = Fst()
     num_states = max(max(src, dst) for src, dst, *_ in arcs) + 1
     num_states = max(num_states, final + 1)

@@ -21,12 +21,11 @@ class Lattice:
     """An Fst whose arcs carry frame/column provenance.
 
     ``frame_of_arc[i]`` is the frame consumed by arc id ``i`` (or ``TERMINAL``
-    for the sentinel step), and ``symbol_of_arc[i]`` the grid column it read.
+    for the sentinel step); the grid column it read is the arc's ``ilabel``.
     """
 
     fst: Fst = field(default_factory=Fst)
     frame_of_arc: list[int] = field(default_factory=list)
-    symbol_of_arc: list[int] = field(default_factory=list)
     num_frames: int = 0
 
     @property
@@ -82,7 +81,6 @@ def intersect_dense(graph: Fst, grid) -> Lattice:
     raw.final = final
 
     frames: list[int] = []
-    symbols: list[int] = []
     for t in range(num_frames):
         for g in layers[t]:
             src = state_of[(g, t)]
@@ -97,14 +95,12 @@ def intersect_dense(graph: Fst, grid) -> Lattice:
                     arc.weight + grid[t, arc.ilabel],
                 )
                 frames.append(t)
-                symbols.append(arc.ilabel)
     for g in layers[num_frames]:
         src = state_of[(g, num_frames)]
         for arc in graph.arcs_from(g):
             if arc.ilabel == TERMINAL:
                 raw.add_arc(src, final, TERMINAL, arc.olabel, arc.weight)
                 frames.append(TERMINAL)
-                symbols.append(TERMINAL)
 
     trimmed, kept = _trim(raw)
     if trimmed.is_empty:
@@ -112,7 +108,6 @@ def intersect_dense(graph: Fst, grid) -> Lattice:
     return Lattice(
         fst=trimmed,
         frame_of_arc=[frames[i] for i in kept],
-        symbol_of_arc=[symbols[i] for i in kept],
         num_frames=num_frames,
     )
 

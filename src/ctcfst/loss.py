@@ -1,10 +1,12 @@
 """CTC negative log-likelihood and analytic gradients under any topology.
 
-The main path builds the training graph, intersects it with the dense score
-grid, and reads the loss off the lattice total. Two independent
-implementations cross-check it: the classic alpha recursion over the 2U+1
-expanded label sequence (standard topology only) and a brute-force sum over
-enumerated alignments (all variants, small instances).
+One batched forward-backward engine (:func:`pack` and
+:meth:`GraphBatch.total_and_occupancy`) serves both :func:`ctc_loss`, as a
+batch of one, and the toy trainer. Three independent implementations
+cross-check it in the tests: the generic lattice of :mod:`ctcfst.lattice`,
+the classic alpha recursion over the 2U+1 expanded label sequence (standard
+topology only) and a brute-force sum over enumerated alignments (all
+variants, small instances).
 """
 
 from __future__ import annotations
@@ -14,16 +16,117 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InfeasibleAlignmentError
-from .fsa import TERMINAL
-from .lattice import arc_posteriors, forward_scores, intersect_dense
+from .errors import InfeasibleAlignmentError, NoPathError
+from .fsa import TERMINAL, Fst
 from .topology import (
     STANDARD,
     TopologyVariant,
     build_training_graph,
     collapse_ctc,
     enumerate_alignments,
+    hard,
 )
+
+
+def frame_capped(variant: TopologyVariant, num_frames: int) -> TopologyVariant:
+    """``variant`` with a hard bound above ``num_frames`` lowered to it.
+
+    A run can never be longer than the frame count, so the capped graph has
+    the same paths (and total) at that length, with far fewer states.
+    """
+    if variant.kind == "hard" and variant.max_run > num_frames:
+        return hard(num_frames)
+    return variant
+
+
+@dataclass(frozen=True)
+class GraphBatch:
+    """Training graphs packed by :func:`pack` for batched forward-backward.
+
+    All arcs entering a state carry one input symbol, so a state scores its
+    symbol's grid entry at each frame: the state-emitting recursion of Graves
+    et al. 2006 (section 4.1), generalised from the 2U+1 chain to any training
+    graph. Arrays are padded to the largest graph with arcless states and
+    -inf arcs; arc endpoints are flat indices into a (batch, states) array.
+    """
+
+    sym: np.ndarray  # (B, S) input symbol of every arc entering the state
+    in_src: np.ndarray  # (B, S, J) flat source of each arc entering the state
+    in_w: np.ndarray  # (B, S, J) its weight
+    out_dst: np.ndarray  # (B, S, K) flat destination of each arc leaving it
+    out_w: np.ndarray  # (B, S, K) its weight
+    fin: np.ndarray  # (B, S) weight of the terminal arc leaving the state
+    onehot: np.ndarray  # (B, S, C) state-to-symbol map
+
+    def total_and_occupancy(self, grids) -> tuple[np.ndarray, np.ndarray]:
+        """Log-total per graph and (B, T, C) symbol occupancy of (B, T, C) grids.
+
+        Rows past an utterance's end must be certain-blank (blank 0, all else
+        -inf): each extends every path by one free blank, leaving totals as
+        they are. Raises :class:`NoPathError` if a graph has no T-frame path.
+        """
+        frames = grids.shape[1]
+        emit = np.take_along_axis(grids, self.sym[:, None, :], axis=2).transpose(1, 0, 2)
+        alpha = np.full((frames + 1,) + self.sym.shape, -np.inf)
+        alpha[0, :, 0] = 0.0
+        for t in range(frames):
+            arrive = alpha[t].ravel()[self.in_src] + self.in_w
+            alpha[t + 1] = np.logaddexp.reduce(arrive, axis=2) + emit[t]
+        total = np.logaddexp.reduce(alpha[frames] + self.fin, axis=1)
+        # Checked before occupancy is formed, where -inf - -inf would be NaN.
+        if (total == -np.inf).any():
+            raise NoPathError(f"a graph in the batch has no path of {frames} frames")
+        beta = np.empty_like(alpha)
+        beta[frames] = self.fin
+        for t in range(frames - 1, -1, -1):
+            leave = (beta[t + 1] + emit[t]).ravel()[self.out_dst] + self.out_w
+            beta[t] = np.logaddexp.reduce(leave, axis=2)
+        post = np.exp(alpha[1:] + beta[1:] - total[:, None])
+        return total, np.matmul(post.transpose(1, 0, 2), self.onehot)
+
+
+def _padded(arcs: list[list[tuple[int, float]]], shape) -> tuple[np.ndarray, np.ndarray]:
+    width = max(1, max(len(lst) for lst in arcs))
+    index = np.zeros((len(arcs), width), dtype=np.intp)
+    weight = np.full((len(arcs), width), -np.inf)
+    for i, lst in enumerate(arcs):
+        for j, (k, w) in enumerate(lst):
+            index[i, j], weight[i, j] = k, w
+    return index.reshape(*shape, width), weight.reshape(*shape, width)
+
+
+def pack(graphs: Sequence[Fst], num_classes: int) -> GraphBatch:
+    """Pack training graphs over ``num_classes`` grid columns into a batch.
+
+    Raises ``ValueError`` for an empty graph, one not starting at state 0, an
+    input label outside the grid's columns, or a state entered by two symbols.
+    """
+    batch = len(graphs)
+    states = max(g.num_states for g in graphs)
+    sym = np.zeros((batch, states), dtype=np.intp)
+    fin = np.full((batch, states), -np.inf)
+    ins: list[list[tuple[int, float]]] = [[] for _ in range(batch * states)]
+    outs: list[list[tuple[int, float]]] = [[] for _ in range(batch * states)]
+    for n, g in enumerate(graphs):
+        if g.is_empty or g.start != 0:
+            raise ValueError(f"graph {n} is empty or does not start at state 0")
+        base = n * states
+        entered: dict[int, int] = {}
+        for arc in g.arcs():
+            if arc.ilabel == TERMINAL:
+                fin[n, arc.src] = np.logaddexp(fin[n, arc.src], arc.weight)
+                continue
+            if entered.setdefault(arc.dst, arc.ilabel) != arc.ilabel:
+                raise ValueError(f"state {arc.dst} of graph {n} is entered by two symbols")
+            sym[n, arc.dst] = arc.ilabel
+            ins[base + arc.dst].append((base + arc.src, arc.weight))
+            outs[base + arc.src].append((base + arc.dst, arc.weight))
+    if sym.min() < 0 or sym.max() >= num_classes:
+        raise ValueError(f"graph input labels must lie in grid columns 0..{num_classes - 1}")
+    in_src, in_w = _padded(ins, (batch, states))
+    out_dst, out_w = _padded(outs, (batch, states))
+    onehot = (sym[:, :, None] == np.arange(num_classes)).astype(float)
+    return GraphBatch(sym, in_src, in_w, out_dst, out_w, fin, onehot)
 
 
 @dataclass
@@ -55,38 +158,29 @@ def log_softmax(logits) -> np.ndarray:
 def ctc_loss(
     labels: Sequence[int], grid, variant: TopologyVariant = STANDARD
 ) -> LossResult:
-    """Exact CTC loss via the lattice, with occupancy and logit gradients.
+    """Exact CTC loss with occupancy and logit gradients.
 
     Raises :class:`InfeasibleAlignmentError` when no alignment of the labels
     fits in the grid's frames (e.g. too few frames), mirroring practical CTC
     implementations that expect callers to filter such utterances.
     """
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 2:
-        raise ValueError(f"grid must be 2-D, got shape {grid.shape}")
+    if grid.ndim != 2 or grid.size == 0 or not np.isfinite(grid).all():
+        raise ValueError(f"grid must be a finite T x (V+1) matrix, not {grid.shape}")
     num_frames, num_cols = grid.shape
-    vocab_size = num_cols - 1
-    graph = build_training_graph(labels, vocab_size, variant)
-    lat = intersect_dense(graph, grid)
-    if lat.is_empty:
-        raise InfeasibleAlignmentError(num_frames, len(labels), variant)
-    fwd = forward_scores(lat, "log")
-    total = fwd[lat.fst.final]
-    post = arc_posteriors(lat)
-    occupancy = np.zeros_like(grid)
-    for arc_id in range(lat.fst.num_arcs):
-        t = lat.frame_of_arc[arc_id]
-        if t != TERMINAL:
-            occupancy[t, lat.symbol_of_arc[arc_id]] += post[arc_id]
-    grad_logits = np.exp(grid) - occupancy
-    return LossResult(loss=-total, grad_logits=grad_logits, occupancy=occupancy)
+    graph = build_training_graph(labels, num_cols - 1, frame_capped(variant, num_frames))
+    try:
+        total, occupancy = pack([graph], num_cols).total_and_occupancy(grid[None])
+    except NoPathError:
+        raise InfeasibleAlignmentError(num_frames, len(labels), variant) from None
+    return LossResult(-float(total[0]), np.exp(grid) - occupancy[0], occupancy[0])
 
 
 def ctc_loss_alpha(labels: Sequence[int], grid) -> float:
     """Standard-topology CTC loss via the classic forward recursion.
 
     Works over the blank-interleaved state sequence of length 2U+1; kept as
-    an independent cross-check of the lattice implementation.
+    an independent cross-check of :func:`ctc_loss`.
     """
     grid = np.asarray(grid, dtype=float)
     num_frames = grid.shape[0]

@@ -2,9 +2,9 @@
 
 Synthetic frame-labeled corpora, a per-frame linear classifier trained with
 the exact CTC loss under any topology variant, and blank-ratio measurement.
-The trainer runs a dense forward-backward over the cached per-utterance
-training graphs, vectorized across the batch; it computes the same loss and
-occupancy as the lattice path (tested against it), just much faster.
+The trainer runs the batched forward-backward engine of :mod:`ctcfst.loss`
+(the one behind ``ctc_loss``) over the cached per-utterance training graphs,
+one padded batch per step.
 
 Token runs are emitted with an onset/sustain amplitude envelope: the first
 frame of a run carries the full class mean, later frames a scaled-down copy.
@@ -21,10 +21,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InfeasibleAlignmentError, TrainingDivergedError
-from .fsa import TERMINAL, Fst
-from .loss import greedy_decode, log_softmax
+from .loss import frame_capped, greedy_decode, log_softmax, pack
 from .skip import SWEEP_BETAS, SweepPoint, sweep_thresholds
-from .topology import STANDARD, TopologyVariant, build_training_graph, hard
+from .topology import STANDARD, TopologyVariant, build_training_graph
 
 
 @dataclass(frozen=True)
@@ -131,101 +130,6 @@ def min_alignment_length(labels: Sequence[int]) -> int:
     return len(labels) + dups
 
 
-def _engine_variant(variant: TopologyVariant, t_max: int) -> TopologyVariant:
-    # A run can never exceed the frame budget, so capping the hard bound at
-    # t_max leaves every reachable path (and the total) unchanged.
-    if variant.kind == "hard" and variant.max_run > t_max:
-        return hard(t_max)
-    return variant
-
-
-class _GraphBatch:
-    """Dense, batch-vectorized forward-backward over fixed training graphs.
-
-    Grids must be padded to a shared frame count with certain-blank rows
-    (blank log-prob 0, everything else -inf); each padded row extends every
-    surviving path uniquely and at zero cost, so the totals match the
-    per-utterance lattice values exactly.
-    """
-
-    def __init__(self, graphs: list[Fst], num_classes: int):
-        batch = len(graphs)
-        num_states = max(g.num_states for g in graphs)
-        in_arcs: list[list[list[tuple[int, int, float]]]] = []
-        out_arcs: list[list[list[tuple[int, int, float]]]] = []
-        fin = np.full((batch, num_states), -np.inf)
-        for n, g in enumerate(graphs):
-            if g.is_empty or g.start != 0:
-                raise ValueError("graph batch expects trimmed graphs starting at state 0")
-            ins = [[] for _ in range(num_states)]
-            outs = [[] for _ in range(num_states)]
-            for arc in g.arcs():
-                if arc.ilabel == TERMINAL:
-                    fin[n, arc.src] = np.logaddexp(fin[n, arc.src], arc.weight)
-                else:
-                    ins[arc.dst].append((arc.src, arc.ilabel, arc.weight))
-                    outs[arc.src].append((arc.dst, arc.ilabel, arc.weight))
-            in_arcs.append(ins)
-            out_arcs.append(outs)
-
-        j_in = max(max(len(lst) for lst in ins) for ins in in_arcs)
-        j_out = max(max(len(lst) for lst in lst_n) for lst_n in out_arcs)
-        self.batch, self.num_states, self.num_classes = batch, num_states, num_classes
-        self.fin = fin
-        self.in_src = np.zeros((batch, num_states, j_in), dtype=np.intp)
-        self.in_sym = np.zeros((batch, num_states, j_in), dtype=np.intp)
-        self.in_w = np.full((batch, num_states, j_in), -np.inf)
-        self.out_dst = np.zeros((batch, num_states, j_out), dtype=np.intp)
-        self.out_sym = np.zeros((batch, num_states, j_out), dtype=np.intp)
-        self.out_w = np.full((batch, num_states, j_out), -np.inf)
-        self.onehot = np.zeros((batch, num_states * j_in, num_classes))
-        for n in range(batch):
-            for s in range(num_states):
-                for j, (src, sym, w) in enumerate(in_arcs[n][s]):
-                    self.in_src[n, s, j] = src
-                    self.in_sym[n, s, j] = sym
-                    self.in_w[n, s, j] = w
-                    self.onehot[n, s * j_in + j, sym] = 1.0
-                for j, (dst, sym, w) in enumerate(out_arcs[n][s]):
-                    self.out_dst[n, s, j] = dst
-                    self.out_sym[n, s, j] = sym
-                    self.out_w[n, s, j] = w
-
-    def total_and_occupancy(self, grids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Log-total per utterance and per-frame symbol occupancy."""
-        batch, frames, _ = grids.shape
-        states = self.num_states
-        nn = np.arange(batch)[:, None, None]
-        alpha = np.full((batch, frames + 1, states), -np.inf)
-        alpha[:, 0, 0] = 0.0
-        for t in range(frames):
-            g_t = grids[:, t, :]
-            vals = alpha[:, t, :][nn, self.in_src] + self.in_w + g_t[nn, self.in_sym]
-            alpha[:, t + 1, :] = np.logaddexp.reduce(vals, axis=2)
-        total = np.logaddexp.reduce(alpha[:, frames, :] + self.fin, axis=1)
-
-        beta = np.full((batch, frames + 1, states), -np.inf)
-        beta[:, frames, :] = self.fin
-        for t in range(frames - 1, -1, -1):
-            g_t = grids[:, t, :]
-            vals = beta[:, t + 1, :][nn, self.out_dst] + self.out_w + g_t[nn, self.out_sym]
-            beta[:, t, :] = np.logaddexp.reduce(vals, axis=2)
-
-        flat = states * self.in_src.shape[2]
-        src_f = self.in_src.reshape(batch, 1, flat)
-        sym_f = self.in_sym.reshape(batch, 1, flat)
-        w_f = self.in_w.reshape(batch, 1, flat)
-        t_idx = np.arange(frames)[None, :, None]
-        a_gather = alpha[nn, t_idx, src_f]
-        g_gather = grids[nn, t_idx, sym_f]
-        b_gather = np.broadcast_to(
-            beta[:, 1:, :, None], (batch, frames, states, self.in_src.shape[2])
-        ).reshape(batch, frames, flat)
-        log_post = a_gather + w_f + g_gather + b_gather - total[:, None, None]
-        occupancy = np.matmul(np.exp(log_post), self.onehot)
-        return total, occupancy
-
-
 def train(
     corpus: SyntheticCorpus,
     variant: TopologyVariant = STANDARD,
@@ -244,6 +148,8 @@ def train(
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if skip_beta is not None and not 0 < skip_beta < 1:
+        raise ValueError(f"skip_beta must lie in (0, 1), got {skip_beta:g}")
     utts = corpus.utterances
     batch = len(utts)
     vocab = corpus.config.vocab_size
@@ -257,10 +163,10 @@ def train(
             raise InfeasibleAlignmentError(int(t_counts[n]), len(u.labels), variant)
 
     graphs = [
-        build_training_graph(u.labels, vocab, _engine_variant(variant, t_max))
+        build_training_graph(u.labels, vocab, frame_capped(variant, t_max))
         for u in utts
     ]
-    engine = _GraphBatch(graphs, classes)
+    engine = pack(graphs, classes)
 
     feats = np.zeros((batch, t_max, dim))
     real = np.zeros((batch, t_max), dtype=bool)

@@ -98,7 +98,7 @@ def test_criterion_01_oracle_equivalence():
 
 
 def test_criterion_02_classic_recursion_equivalence():
-    """Lattice loss matches the 2U+1 alpha recursion on 200 random instances."""
+    """ctc_loss matches the 2U+1 alpha recursion on 200 random instances."""
     rng = np.random.default_rng(202)
     for _ in range(200):
         vocab = int(rng.integers(2, 11))
@@ -112,7 +112,7 @@ def test_criterion_02_classic_recursion_equivalence():
         assert ctc_loss(labels, grid).loss == pytest.approx(
             ctc_loss_alpha(labels, grid), abs=1e-9
         )
-    report_pass(2, "lattice vs classic recursion on 200 random instances (tol 1e-9)")
+    report_pass(2, "ctc_loss vs classic recursion on 200 random instances (tol 1e-9)")
 
 
 def test_criterion_03_gradient_correctness():

@@ -217,3 +217,43 @@ class TestExperimentCommands:
 
     def test_bad_run_spec_exits_one(self, tmp_path):
         assert main(["compare", "--runs", "soft", "--out", str(tmp_path / "x")]) == 1
+
+    @staticmethod
+    def _train_toy(tmp_path, config, *flags):
+        config = {"train_utterances": 4, "eval_utterances": 2, "steps": 3, **config}
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        out = str(tmp_path / "out")
+        return main(["train-toy", "--config", str(config_path), "--out", out, *flags])
+
+    def test_betas_string_exits_one(self, tmp_path, capsys):
+        assert self._train_toy(tmp_path, {"betas": "0.9"}) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'betas'" in err
+
+    def test_betas_strings_coerced_to_floats(self, tmp_path):
+        assert self._train_toy(tmp_path, {"betas": ["0.9", 0.99]}) == 0
+        curve = (tmp_path / "out" / "curve.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in curve[1:]] == ["0.9", "0.99"]
+
+    def test_non_integral_steps_exits_one(self, tmp_path, capsys):
+        assert self._train_toy(tmp_path, {"steps": 2.7}) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'steps'" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("source", ["config", "flag", "run-spec"])
+    def test_skip_beta_outside_unit_interval_exits_one(self, tmp_path, capsys, source):
+        if source == "config":
+            code = self._train_toy(tmp_path, {"skip_beta": 1.5})
+        elif source == "flag":
+            code = self._train_toy(tmp_path, {}, "--skip-beta", "1.5")
+        else:
+            code = main(
+                ["compare", "--runs", "standard+skip:1.5,hard:1", "--steps", "3",
+                 "--train-utterances", "4", "--eval-utterances", "2",
+                 "--out", str(tmp_path / "cmp")]
+            )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "skip_beta must lie in (0, 1)" in err

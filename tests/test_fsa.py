@@ -162,6 +162,10 @@ class TestTextFormat:
         with pytest.raises(ValueError, match="malformed"):
             fst_from_text("0 1 2\n")
 
+    def test_final_state_with_outgoing_arcs_rejected(self):
+        with pytest.raises(ValueError, match="final state 1 has outgoing arcs"):
+            fst_from_text("0 1 1 1 0\n1 0 2 2 0\n1\n")
+
     def test_empty_fst_serializes_to_empty_text(self):
         assert fst_to_text(Fst()) == ""
         assert fst_from_text("").is_empty

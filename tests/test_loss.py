@@ -115,6 +115,15 @@ class TestCtcLoss:
         assert all(a >= b - 1e-12 for a, b in zip(losses, losses[1:]))
         assert losses[-1] >= standard - 1e-12
 
+    def test_hard_bound_above_frame_count_is_capped(self):
+        frames, labels = 10, [3, 3, 7, 20]
+        grid = random_grid(np.random.default_rng(8), frames, 21)
+        huge = ctc_loss(labels, grid, hard(frames + 1000))
+        standard = ctc_loss(labels, grid)
+        assert huge.loss == pytest.approx(ctc_loss(labels, grid, hard(frames)).loss, abs=1e-9)
+        assert huge.loss == pytest.approx(standard.loss, abs=1e-9)
+        assert huge.occupancy == pytest.approx(standard.occupancy, abs=1e-9)
+
 
 class TestAlphaRecursion:
     def test_uniform_ab(self):

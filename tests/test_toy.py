@@ -1,27 +1,37 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_grid
 from ctcfst import (
     STANDARD,
+    TERMINAL,
     CorpusConfig,
+    Fst,
     InfeasibleAlignmentError,
+    NoPathError,
     RunSpec,
     SyntheticCorpus,
     TrainingDivergedError,
     Utterance,
+    arc_posteriors,
     compare_variants,
     ctc_loss,
     edit_distance,
     evaluate,
     generate_corpus,
     hard,
+    intersect_dense,
+    log_softmax,
     min_alignment_length,
     soft,
     token_means,
+    total_score,
     train,
 )
-from ctcfst.toy import _GraphBatch, _engine_variant
+from ctcfst.loss import frame_capped, pack
 from ctcfst.topology import build_training_graph
 
 SMALL = CorpusConfig(num_utterances=30, seed=11)
@@ -76,30 +86,118 @@ class TestGenerateCorpus:
             CorpusConfig(noise=-0.1)
 
 
+VOCAB = 3
+CLASSES = VOCAB + 1
+ENGINE_SETTINGS = settings(max_examples=50, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def utterance_batches(draw, feasible=True):
+    """1-3 (labels, grid) pairs: labels with repeats, frame counts from the
+    minimum alignment length to 3 above it (or below it, when not
+    ``feasible``), and log-softmax grids of logits up to +-700."""
+    labels_list, grids = [], []
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1.0, 30.0, 700.0]))
+    for _ in range(draw(st.integers(1, 3))):
+        labels = draw(st.lists(st.integers(1, VOCAB), min_size=0 if feasible else 2, max_size=3))
+        shortest = min_alignment_length(labels)
+        if feasible:
+            frames = draw(st.integers(max(1, shortest), shortest + 3))
+        else:
+            frames = draw(st.integers(1, shortest - 1))
+        labels_list.append(labels)
+        grids.append(log_softmax(rng.uniform(-scale, scale, (frames, CLASSES))))
+    return labels_list, grids
+
+
+def lattice_oracle(labels, grid, variant):
+    """Total and per-(frame, symbol) occupancy from the generic lattice."""
+    lat = intersect_dense(build_training_graph(labels, VOCAB, variant), grid)
+    occupancy = np.zeros_like(grid)
+    for arc, t, post in zip(lat.fst.arcs(), lat.frame_of_arc, arc_posteriors(lat)):
+        if t != TERMINAL:
+            occupancy[t, arc.ilabel] += post
+    return total_score(lat), occupancy
+
+
+def packed_batch(labels_list, grids, variant):
+    """The engine's inputs as the trainer builds them: capped graphs and
+    grids padded with certain-blank rows."""
+    t_max = max(len(g) for g in grids)
+    graphs = [
+        build_training_graph(labels, VOCAB, frame_capped(variant, t_max))
+        for labels in labels_list
+    ]
+    padded = np.full((len(grids), t_max, CLASSES), -np.inf)
+    padded[:, :, 0] = 0.0
+    for n, grid in enumerate(grids):
+        padded[n, : len(grid)] = grid
+    return pack(graphs, CLASSES), padded
+
+
+def assert_engine_matches_lattice(labels_list, grids, variant):
+    batch, padded = packed_batch(labels_list, grids, variant)
+    total, occupancy = batch.total_and_occupancy(padded)
+    for n, (labels, grid) in enumerate(zip(labels_list, grids)):
+        want_total, want_occupancy = lattice_oracle(labels, grid, variant)
+        single = ctc_loss(labels, grid, variant)
+        assert total[n] == pytest.approx(want_total, rel=1e-12, abs=1e-9)
+        assert -single.loss == pytest.approx(want_total, rel=1e-12, abs=1e-9)
+        assert occupancy[n, : len(grid)] == pytest.approx(want_occupancy, abs=1e-9)
+        assert single.occupancy == pytest.approx(want_occupancy, abs=1e-9)
+
+
 class TestGraphBatchEngine:
+    """The batched engine (padded batch, and ``ctc_loss`` as a batch of one)
+    against the generic lattice oracle."""
+
     @pytest.mark.parametrize(
         "variant", [STANDARD, soft(0.3), hard(1), hard(2), hard(50)], ids=str
     )
-    def test_matches_lattice_loss_and_occupancy(self, variant):
-        rng = np.random.default_rng(5)
-        vocab, classes = 3, 4
-        labels_list = [[1, 2, 1], [2, 3], [1, 1, 2], [3]]
-        t_list = [7, 5, 6, 3]
-        t_max = max(t_list)
-        graphs = [
-            build_training_graph(lab, vocab, _engine_variant(variant, t_max))
-            for lab in labels_list
-        ]
-        engine = _GraphBatch(graphs, classes)
-        grids = np.full((len(labels_list), t_max, classes), -np.inf)
-        grids[:, :, 0] = 0.0
-        for n, t in enumerate(t_list):
-            grids[n, :t] = random_grid(rng, t, classes)
-        total, occupancy = engine.total_and_occupancy(grids)
-        for n, (lab, t) in enumerate(zip(labels_list, t_list)):
-            reference = ctc_loss(lab, grids[n, :t], variant)
-            assert -total[n] == pytest.approx(reference.loss, abs=1e-9)
-            assert occupancy[n, :t] == pytest.approx(reference.occupancy, abs=1e-9)
+    @ENGINE_SETTINGS
+    @given(batch=utterance_batches())
+    def test_matches_lattice_loss_and_occupancy(self, variant, batch):
+        assert_engine_matches_lattice(*batch, variant)
+
+    @ENGINE_SETTINGS
+    @given(batch=utterance_batches(), data=st.data())
+    def test_matches_lattice_for_any_penalty_or_bound(self, batch, data):
+        t_max = max(len(g) for g in batch[1])
+        variant = data.draw(
+            st.one_of(
+                st.floats(0.0, 700.0).map(soft),
+                st.integers(1, t_max + 2).map(hard),
+            )
+        )
+        assert_engine_matches_lattice(*batch, variant)
+
+    @ENGINE_SETTINGS
+    @given(
+        batch=utterance_batches(feasible=False),
+        variant=st.sampled_from([STANDARD, soft(700.0), hard(1), hard(3)]),
+    )
+    def test_infeasible_lengths_raise_without_nan(self, batch, variant):
+        labels_list, grids = batch
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for labels, grid in zip(labels_list, grids):
+                with pytest.raises(InfeasibleAlignmentError):
+                    ctc_loss(labels, grid, variant)
+            engine, padded = packed_batch(labels_list, grids, variant)
+            with pytest.raises(NoPathError):
+                engine.total_and_occupancy(padded)
+
+    def test_pack_rejects_state_entered_by_two_symbols(self):
+        graph = Fst()
+        for _ in range(3):
+            graph.add_state()
+        graph.start, graph.final = 0, 2
+        graph.add_arc(0, 1, 1, 1)
+        graph.add_arc(0, 1, 2, 2)
+        graph.add_arc(1, 2, TERMINAL, 0)
+        with pytest.raises(ValueError, match="entered by two symbols"):
+            pack([graph], CLASSES)
 
 
 class TestTrain:
