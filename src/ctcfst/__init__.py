@@ -62,7 +62,6 @@ from .topology import (
     build_topology,
     build_training_graph,
     collapse_ctc,
-    collapse_transducer,
     enumerate_alignments,
     hard,
     soft,

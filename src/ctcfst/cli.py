@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
-from typing import Sequence
+from typing import Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -32,11 +33,23 @@ from .topology import (
 from .toy import (
     DEFAULT_RUNS,
     CorpusConfig,
+    ExperimentConfig,
     RunSpec,
     compare_variants,
     evaluate,
-    generate_corpus,
     train,
+)
+
+# The --config keys and their types: the ExperimentConfig fields with the
+# corpus shape flattened in. A corpus's size and seed are experiment fields.
+_EXPERIMENT_TYPES = get_type_hints(ExperimentConfig)
+_CONFIG_TYPES = {
+    key: hint
+    for key, hint in (get_type_hints(CorpusConfig) | _EXPERIMENT_TYPES).items()
+    if key not in ("num_utterances", "corpus")
+}
+_EXPERIMENT_FLAGS = (
+    "seed", "steps", "step_size", "warmup_fraction", "train_utterances", "eval_utterances"
 )
 
 
@@ -88,27 +101,29 @@ def _render_alignment(alignment: Sequence[int], letters: bool) -> str:
     return " ".join(str(k) for k in alignment)
 
 
-def _variant_from(args: argparse.Namespace, parser: argparse.ArgumentParser) -> TopologyVariant:
-    kind = args.variant
+def _variant(kind: str, param) -> TopologyVariant:
+    """The variant grammar shared by ``--variant/--lambda/--k`` and ``--runs``:
+    ``standard`` takes no parameter, ``soft`` a penalty, ``hard`` a bound."""
     if kind == "standard":
-        if args.penalty is not None or args.k is not None:
-            parser.error("--lambda/--k only apply to soft/hard variants")
+        if param is not None:
+            raise ValueError("standard takes no parameter")
         return STANDARD
-    if kind == "soft":
-        if args.penalty is None:
-            parser.error("soft variant requires --lambda")
-        if args.k is not None:
-            parser.error("--k does not apply to the soft variant")
-        if args.penalty < 0:
-            parser.error("--lambda must be >= 0")
-        return soft(args.penalty)
-    if args.k is None:
-        parser.error("hard variant requires --k")
-    if args.penalty is not None:
-        parser.error("--lambda does not apply to the hard variant")
-    if args.k < 1:
-        parser.error("--k must be >= 1")
-    return hard(args.k)
+    if kind not in ("soft", "hard"):
+        raise ValueError(f"unknown variant {kind!r}")
+    if param is None:
+        flag = "--lambda" if kind == "soft" else "--k"
+        raise ValueError(f"{kind} needs a parameter: {flag} X or {kind}:X")
+    return soft(float(param)) if kind == "soft" else hard(int(param))
+
+
+def _variant_from(args: argparse.Namespace, parser: argparse.ArgumentParser) -> TopologyVariant:
+    for flag, kind, value in (("--lambda", "soft", args.penalty), ("--k", "hard", args.k)):
+        if value is not None and kind != args.variant:
+            parser.error(f"{flag} does not apply to the {args.variant} variant")
+    try:
+        return _variant(args.variant, args.penalty if args.variant == "soft" else args.k)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _add_variant_flags(parser: argparse.ArgumentParser) -> None:
@@ -123,114 +138,63 @@ def _add_variant_flags(parser: argparse.ArgumentParser) -> None:
 
 def _parse_run_spec(raw: str) -> RunSpec:
     """Parse 'standard', 'soft:0.04', 'hard:2', optionally '+skip:BETA'."""
-    skip_beta = None
-    body = raw.strip()
-    if "+skip:" in body:
-        body, beta_text = body.split("+skip:", 1)
-        skip_beta = float(beta_text)
-    if ":" in body:
-        name, param = body.split(":", 1)
+    body, skip, beta = raw.strip().partition("+skip:")
+    kind, colon, param = body.partition(":")
+    try:
+        variant = _variant(kind.strip(), param if colon else None)
+        return RunSpec(variant, skip_beta=float(beta) if skip else None)
+    except ValueError as exc:
+        raise ValueError(f"run spec {raw!r}: {exc}") from None
+
+
+def _scalar(hint) -> type:
+    """``int`` or ``float`` for an ``int``, ``float`` or ``float | None`` field."""
+    return hint if hint in (int, float) else get_args(hint)[0]
+
+
+def _is_number(value) -> bool:
+    """A finite JSON number; bools are not numbers here."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
+
+
+def _config_value(key: str, hint, value):
+    """Strict JSON -> field value, driven by the field's type: an int field
+    takes an integral number, a float field any number, a tuple field a list
+    of numbers; only an optional field takes null."""
+    if get_origin(hint) is tuple:
+        expected = "a list of numbers"
+        if isinstance(value, list) and all(map(_is_number, value)):
+            return tuple(float(item) for item in value)
+    elif value is None and type(None) in get_args(hint):
+        return None
+    elif _scalar(hint) is float:
+        expected = "a number"
+        if _is_number(value):
+            return float(value)
     else:
-        name, param = body, None
-    name = name.strip()
-    if name == "standard":
-        variant = STANDARD
-    elif name == "soft":
-        if param is None:
-            raise ValueError(f"run spec {raw!r}: soft needs a penalty, e.g. soft:0.04")
-        variant = soft(float(param))
-    elif name == "hard":
-        if param is None:
-            raise ValueError(f"run spec {raw!r}: hard needs a bound, e.g. hard:2")
-        variant = hard(int(param))
-    else:
-        raise ValueError(f"run spec {raw!r}: unknown variant {name!r}")
-    return RunSpec(variant, skip_beta=skip_beta)
+        expected = "an integer"
+        if _is_number(value) and float(value).is_integer():
+            return int(value)
+    raise ValueError(f"config key {key!r}: expected {expected}, got {json.dumps(value)}")
 
 
-def _config_int(value) -> int:
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{value!r} is not an integer")
-    return int(value)
-
-
-def _config_floats(value) -> list[float]:
-    if not isinstance(value, list):
-        raise ValueError(f"{value!r} is not a list of numbers")
-    return [float(v) for v in value]
-
-
-_CONFIG_KEYS = {
-    "seed": _config_int,
-    "vocab_size": _config_int,
-    "feature_dim": _config_int,
-    "stretch": _config_int,
-    "noise": float,
-    "train_utterances": _config_int,
-    "eval_utterances": _config_int,
-    "min_tokens": _config_int,
-    "max_tokens": _config_int,
-    "sustain_scale": float,
-    "steps": _config_int,
-    "step_size": float,
-    "warmup_fraction": float,
-    "skip_beta": float,
-    "betas": _config_floats,
-}
-
-
-def _experiment_settings(args: argparse.Namespace) -> dict:
-    settings = {
-        "seed": args.seed,
-        "vocab_size": 5,
-        "feature_dim": 16,
-        "stretch": 4,
-        "noise": 0.2,
-        "train_utterances": args.train_utterances,
-        "eval_utterances": args.eval_utterances,
-        "min_tokens": 2,
-        "max_tokens": 5,
-        "sustain_scale": 0.25,
-        "steps": args.steps,
-        "step_size": args.step_size,
-        "warmup_fraction": args.warmup_fraction,
-        "skip_beta": getattr(args, "skip_beta", None),
-        "betas": list(SWEEP_BETAS),
-    }
+def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
+    """The experiment flags, overridden by the ``--config`` file's keys."""
+    settings = {key: value for key, value in vars(args).items() if key in _CONFIG_TYPES}
     if args.config is not None:
         with open(args.config) as handle:
             overrides = json.load(handle)
+        if not isinstance(overrides, dict):
+            raise ValueError("config must be a JSON object")
         for key, value in overrides.items():
-            if key not in _CONFIG_KEYS:
+            if key not in _CONFIG_TYPES:
                 raise ValueError(f"unknown config key {key!r}")
-            try:
-                settings[key] = None if value is None else _CONFIG_KEYS[key](value)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ValueError(f"config key {key!r}: {exc}") from None
-    return settings
-
-
-def _corpora(settings: dict):
-    base = dict(
-        vocab_size=settings["vocab_size"],
-        feature_dim=settings["feature_dim"],
-        stretch=settings["stretch"],
-        noise=settings["noise"],
-        min_tokens=settings["min_tokens"],
-        max_tokens=settings["max_tokens"],
-        sustain_scale=settings["sustain_scale"],
-    )
-    train_corpus = generate_corpus(
-        CorpusConfig(
-            num_utterances=settings["train_utterances"], seed=settings["seed"], **base
-        )
-    )
-    eval_corpus = generate_corpus(
-        CorpusConfig(
-            num_utterances=settings["eval_utterances"], seed=settings["seed"] + 1, **base
-        )
-    )
-    return train_corpus, eval_corpus
+            settings[key] = _config_value(key, _CONFIG_TYPES[key], value)
+    corpus = {key: settings.pop(key) for key in list(settings) if key not in _EXPERIMENT_TYPES}
+    return ExperimentConfig(**settings, corpus=CorpusConfig(**corpus))
 
 
 def _sweep_csv(rows) -> str:
@@ -298,20 +262,19 @@ def cmd_skip(args, parser) -> int:
 
 def cmd_train_toy(args, parser) -> int:
     variant = _variant_from(args, parser)
-    settings = _experiment_settings(args)
-    train_corpus, eval_corpus = _corpora(settings)
+    config = _experiment_config(args)
+    train_corpus, eval_corpus = config.corpora()
     model, losses = train(
         train_corpus,
         variant,
-        steps=settings["steps"],
-        step_size=settings["step_size"],
-        skip_beta=settings["skip_beta"],
-        warmup_fraction=settings["warmup_fraction"],
+        steps=config.steps,
+        step_size=config.step_size,
+        skip_beta=config.skip_beta,
+        warmup_fraction=config.warmup_fraction,
     )
-    spec = RunSpec(variant, skip_beta=settings["skip_beta"])
+    spec = RunSpec(variant, skip_beta=config.skip_beta)
     report = evaluate(
-        model, eval_corpus, betas=settings["betas"], name=spec.name,
-        final_loss=losses[-1],
+        model, eval_corpus, betas=config.betas, name=spec.name, final_loss=losses[-1]
     )
     os.makedirs(args.out, exist_ok=True)
     header = "name,final_loss,token_error_rate,gamma_max"
@@ -330,20 +293,24 @@ def cmd_train_toy(args, parser) -> int:
 
 
 def cmd_compare(args, parser) -> int:
-    settings = _experiment_settings(args)
+    config = _experiment_config(args)
+    if config.skip_beta is not None:
+        raise ValueError("config key 'skip_beta' does not apply to compare: use +skip: in --runs")
+    if 0.9 not in config.betas:
+        raise ValueError("compare needs 0.9 in betas: compare.csv has a ratio_at_0.9 column")
     if args.runs is not None:
         runs = [_parse_run_spec(chunk) for chunk in args.runs.split(",")]
     else:
         runs = list(DEFAULT_RUNS)
-    train_corpus, eval_corpus = _corpora(settings)
+    train_corpus, eval_corpus = config.corpora()
     results = compare_variants(
         train_corpus,
         eval_corpus,
         runs,
-        steps=settings["steps"],
-        step_size=settings["step_size"],
-        warmup_fraction=settings["warmup_fraction"],
-        betas=settings["betas"],
+        steps=config.steps,
+        step_size=config.step_size,
+        warmup_fraction=config.warmup_fraction,
+        betas=config.betas,
     )
     os.makedirs(args.out, exist_ok=True)
     table = ["name,final_loss,token_error_rate,ratio_at_0.9,gamma_max"]
@@ -416,20 +383,19 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--out", default=None)
     analyze.set_defaults(func=cmd_skip)
 
-    def add_experiment_flags(p):
+    def add_experiment_flags(p, *names):
         p.add_argument("--config", default=None, help="JSON config overriding flags")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--steps", type=int, default=2000)
-        p.add_argument("--step-size", type=float, default=0.5)
-        p.add_argument("--warmup-fraction", type=float, default=0.1)
-        p.add_argument("--train-utterances", type=int, default=200)
-        p.add_argument("--eval-utterances", type=int, default=50)
+        for name in names:
+            p.add_argument(
+                "--" + name.replace("_", "-"),
+                type=_scalar(_CONFIG_TYPES[name]),
+                default=getattr(ExperimentConfig, name),
+            )
         p.add_argument("--out", required=True, help="output directory")
 
     tt = sub.add_parser("train-toy", help="train on synthetic data, report ratios")
     _add_variant_flags(tt)
-    tt.add_argument("--skip-beta", type=float, default=None)
-    add_experiment_flags(tt)
+    add_experiment_flags(tt, "skip_beta", *_EXPERIMENT_FLAGS)
     tt.set_defaults(func=cmd_train_toy)
 
     cmp_p = sub.add_parser("compare", help="train several variants on shared data")
@@ -437,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--runs", default=None,
         help="comma-separated run specs, e.g. standard+skip:0.85,soft:0.04,hard:1",
     )
-    add_experiment_flags(cmp_p)
+    add_experiment_flags(cmp_p, *_EXPERIMENT_FLAGS)
     cmp_p.set_defaults(func=cmd_compare)
 
     return parser

@@ -79,30 +79,12 @@ def build_topology(vocab_size: int, variant: TopologyVariant = STANDARD) -> Fst:
     """
     if vocab_size < 1:
         raise ValueError("vocab_size must be >= 1")
+    # Standard and soft are the hard unrolling at depth 1, whose one state
+    # per symbol keeps the non-blank self-loop instead of ending the run.
+    depth = variant.max_run if variant.kind == "hard" else 1
+    loop_weight = -variant.penalty if variant.kind == "soft" else 0.0
     fst = Fst()
-    if variant.kind in ("standard", "soft"):
-        loop_weight = -variant.penalty if variant.kind == "soft" else 0.0
-        hub = fst.add_state()  # blank hub, also the start state
-        token = [fst.add_state() for _ in range(vocab_size)]
-        final = fst.add_state()
-        fst.start, fst.final = hub, final
-        fst.add_arc(hub, hub, BLANK, EPSILON)
-        for k in range(1, vocab_size + 1):
-            fst.add_arc(hub, token[k - 1], k, k)
-        fst.add_arc(hub, final, TERMINAL, EPSILON)
-        for k in range(1, vocab_size + 1):
-            s = token[k - 1]
-            fst.add_arc(s, s, k, EPSILON, loop_weight)  # the non-blank self-loop
-            fst.add_arc(s, hub, BLANK, EPSILON)
-            for j in range(1, vocab_size + 1):
-                if j != k:
-                    fst.add_arc(s, token[j - 1], j, j)
-            fst.add_arc(s, final, TERMINAL, EPSILON)
-        return fst
-
-    # Hard restriction: unroll each emission max_run states deep.
-    depth = variant.max_run
-    hub = fst.add_state()
+    hub = fst.add_state()  # blank hub, also the start state
     run = [[fst.add_state() for _ in range(depth)] for _ in range(vocab_size)]
     final = fst.add_state()
     fst.start, fst.final = hub, final
@@ -115,6 +97,8 @@ def build_topology(vocab_size: int, variant: TopologyVariant = STANDARD) -> Fst:
             s = run[k - 1][c]
             if c + 1 < depth:
                 fst.add_arc(s, run[k - 1][c + 1], k, EPSILON)
+            elif variant.kind != "hard":
+                fst.add_arc(s, s, k, EPSILON, loop_weight)  # the non-blank self-loop
             fst.add_arc(s, hub, BLANK, EPSILON)
             for j in range(1, vocab_size + 1):
                 if j != k:
@@ -151,11 +135,6 @@ def build_training_graph(
 def collapse_ctc(alignment: Iterable[int]) -> list[int]:
     """CTC collapse: merge adjacent duplicates, then delete blanks."""
     return [k for k, _ in itertools.groupby(alignment) if k != BLANK]
-
-
-def collapse_transducer(alignment: Iterable[int]) -> list[int]:
-    """Transducer collapse: delete blanks only, duplicates survive."""
-    return [k for k in alignment if k != BLANK]
 
 
 def _max_nonblank_run(alignment: Sequence[int]) -> int:

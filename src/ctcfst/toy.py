@@ -15,7 +15,7 @@ maximum under strong regularization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -53,6 +53,43 @@ class CorpusConfig:
             raise ValueError("need 1 <= min_tokens <= max_tokens")
         if not 0 < self.sustain_scale <= 1:
             raise ValueError("sustain_scale must lie in (0, 1]")
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """The settings of a ``train-toy`` or ``compare`` run: the one home of
+    their defaults, types and range checks. ``corpus`` gives the corpus
+    shape; ``corpora`` replaces its size and seed per split."""
+
+    seed: int = 0
+    train_utterances: int = 200
+    eval_utterances: int = 50
+    steps: int = 2000
+    step_size: float = 0.5
+    warmup_fraction: float = 0.1
+    skip_beta: float | None = None
+    betas: tuple[float, ...] = SWEEP_BETAS
+    corpus: CorpusConfig = CorpusConfig()
+
+    def __post_init__(self):
+        if self.steps < 1:
+            raise ValueError("steps must be >= 1")
+        if self.skip_beta is not None and not 0 < self.skip_beta < 1:
+            raise ValueError(f"skip_beta must lie in (0, 1), got {self.skip_beta:g}")
+        if not all(0 < beta < 1 for beta in self.betas):
+            raise ValueError("betas must lie in (0, 1)")
+        self._splits()  # CorpusConfig checks the split sizes
+
+    def _splits(self) -> list[CorpusConfig]:
+        sizes = (self.train_utterances, self.eval_utterances)
+        return [
+            replace(self.corpus, num_utterances=size, seed=self.seed + offset)
+            for offset, size in enumerate(sizes)
+        ]
+
+    def corpora(self) -> tuple[SyntheticCorpus, ...]:
+        """The train and eval corpora, seeded ``seed`` and ``seed + 1``."""
+        return tuple(generate_corpus(config) for config in self._splits())
 
 
 @dataclass
@@ -133,10 +170,10 @@ def min_alignment_length(labels: Sequence[int]) -> int:
 def train(
     corpus: SyntheticCorpus,
     variant: TopologyVariant = STANDARD,
-    steps: int = 2000,
-    step_size: float = 0.5,
+    steps: int = ExperimentConfig.steps,
+    step_size: float = ExperimentConfig.step_size,
     skip_beta: float | None = None,
-    warmup_fraction: float = 0.1,
+    warmup_fraction: float = ExperimentConfig.warmup_fraction,
 ) -> tuple[ToyModel, list[float]]:
     """Plain gradient descent on the mean CTC loss through a linear model.
 
@@ -146,10 +183,7 @@ def train(
     of them for that step. Training is deterministic: zero init, full batch,
     fixed summation order.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if skip_beta is not None and not 0 < skip_beta < 1:
-        raise ValueError(f"skip_beta must lie in (0, 1), got {skip_beta:g}")
+    ExperimentConfig(steps=steps, skip_beta=skip_beta)  # the range checks
     utts = corpus.utterances
     batch = len(utts)
     vocab = corpus.config.vocab_size
@@ -289,6 +323,9 @@ class RunSpec:
     variant: TopologyVariant
     skip_beta: float | None = None
 
+    def __post_init__(self):
+        ExperimentConfig(skip_beta=self.skip_beta)  # the range check
+
     @property
     def name(self) -> str:
         if self.skip_beta is None:
@@ -309,9 +346,9 @@ def compare_variants(
     train_corpus: SyntheticCorpus,
     eval_corpus: SyntheticCorpus,
     runs: Sequence[RunSpec] = DEFAULT_RUNS,
-    steps: int = 2000,
-    step_size: float = 0.5,
-    warmup_fraction: float = 0.1,
+    steps: int = ExperimentConfig.steps,
+    step_size: float = ExperimentConfig.step_size,
+    warmup_fraction: float = ExperimentConfig.warmup_fraction,
     betas: Sequence[float] = SWEEP_BETAS,
 ) -> list[tuple[ExperimentReport, list[float]]]:
     """Train every run spec on the same data from the same (zero) init and

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from ctcfst import fst_from_text
+from ctcfst import fst_from_text, toy
 from ctcfst.cli import main
 from ctcfst.loss import format_matrix
 
@@ -231,10 +231,10 @@ class TestExperimentCommands:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "'betas'" in err
 
-    def test_betas_strings_coerced_to_floats(self, tmp_path):
-        assert self._train_toy(tmp_path, {"betas": ["0.9", 0.99]}) == 0
-        curve = (tmp_path / "out" / "curve.csv").read_text().splitlines()
-        assert [line.split(",")[0] for line in curve[1:]] == ["0.9", "0.99"]
+    def test_betas_strings_exits_one(self, tmp_path, capsys):
+        assert self._train_toy(tmp_path, {"betas": ["0.9", 0.99]}) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'betas'" in err
 
     def test_non_integral_steps_exits_one(self, tmp_path, capsys):
         assert self._train_toy(tmp_path, {"steps": 2.7}) == 1
@@ -242,8 +242,55 @@ class TestExperimentCommands:
         assert err.count("\n") == 1 and "'steps'" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.fixture
+    def no_corpus(self, monkeypatch):
+        """Fail the test if any corpus is generated."""
+
+        def refuse(config):
+            raise AssertionError("a corpus was generated")
+
+        monkeypatch.setattr(toy, "generate_corpus", refuse)
+
+    @pytest.mark.parametrize(
+        "command, config, message",
+        [
+            ("train-toy", [1, 2], "config must be a JSON object"),
+            ("train-toy", {"seed": None}, "'seed'"),
+            ("train-toy", {"steps": None}, "'steps'"),
+            ("train-toy", {"steps": True}, "'steps'"),
+            ("train-toy", {"noise": "0.2"}, "'noise'"),
+            ("train-toy", {"betas": [0.5, 1.0]}, "betas must lie in (0, 1)"),
+            ("compare", {"skip_beta": 0.5}, "'skip_beta' does not apply to compare"),
+            ("compare", {"betas": [0.5, 0.99]}, "needs 0.9 in betas"),
+        ],
+        ids=[
+            "list", "seed-null", "steps-null", "steps-bool", "noise-string",
+            "betas-range", "compare-skip-beta", "compare-betas-without-0.9",
+        ],
+    )
+    def test_bad_setting_exits_one_before_any_corpus(
+        self, tmp_path, capsys, no_corpus, command, config, message
+    ):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        code = main(
+            [command, "--config", str(config_path), "--out", str(tmp_path / "out"),
+             "--train-utterances", "4", "--eval-utterances", "2", "--steps", "3",
+             *(["--runs", "standard,hard:1"] if command == "compare" else [])]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+
+    def test_standard_run_spec_takes_no_parameter(self, tmp_path, capsys, no_corpus):
+        code = main(["compare", "--runs", "standard:3,hard:1", "--out", str(tmp_path)])
+        assert code == 1
+        assert "standard takes no parameter" in capsys.readouterr().err
+
     @pytest.mark.parametrize("source", ["config", "flag", "run-spec"])
-    def test_skip_beta_outside_unit_interval_exits_one(self, tmp_path, capsys, source):
+    def test_skip_beta_outside_unit_interval_exits_one(
+        self, tmp_path, capsys, no_corpus, source
+    ):
         if source == "config":
             code = self._train_toy(tmp_path, {"skip_beta": 1.5})
         elif source == "flag":

@@ -11,7 +11,6 @@ from ctcfst import (
     build_topology,
     build_training_graph,
     collapse_ctc,
-    collapse_transducer,
     enumerate_alignments,
     hard,
     intersect_dense,
@@ -173,11 +172,6 @@ class TestCollapse:
         assert collapse_ctc([1, 1, 0, 2]) == [1, 2]
         assert collapse_ctc([0, 0, 0]) == []
         assert collapse_ctc([1, 0, 1]) == [1, 1]
-
-    def test_transducer_collapse_keeps_duplicates(self):
-        assert collapse_transducer([1, 0, 1]) == [1, 1]
-        assert collapse_transducer([1, 1, 0]) == [1, 1]
-        assert collapse_transducer([0]) == []
 
 
 class TestEnumerationGuard:

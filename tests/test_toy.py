@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from ctcfst import (
 )
 from ctcfst.loss import frame_capped, pack
 from ctcfst.topology import build_training_graph
+from ctcfst.toy import ExperimentConfig
 
 SMALL = CorpusConfig(num_utterances=30, seed=11)
 
@@ -313,3 +315,20 @@ class TestCompareVariants:
         assert RunSpec(STANDARD).name == "standard"
         assert RunSpec(soft(0.04)).name == "soft(0.04)"
         assert RunSpec(hard(2), skip_beta=0.85).name == "hard(2)+skip(0.85)"
+
+
+class TestExperimentConfig:
+    def test_corpora_are_seeded_seed_and_seed_plus_one(self):
+        shape = CorpusConfig(vocab_size=3, feature_dim=4)
+        config = ExperimentConfig(seed=4, train_utterances=3, eval_utterances=2, corpus=shape)
+        train_corpus, eval_corpus = config.corpora()
+        assert train_corpus.config == replace(shape, num_utterances=3, seed=4)
+        assert eval_corpus.config == replace(shape, num_utterances=2, seed=5)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [dict(steps=0), dict(skip_beta=1.0), dict(betas=(0.9, 1.0)), dict(eval_utterances=0)],
+    )
+    def test_range_checks(self, bad):
+        with pytest.raises(ValueError):
+            ExperimentConfig(**bad)
