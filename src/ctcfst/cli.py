@@ -302,6 +302,8 @@ def cmd_compare(args, parser) -> int:
         runs = [_parse_run_spec(chunk) for chunk in args.runs.split(",")]
     else:
         runs = list(DEFAULT_RUNS)
+    if len(runs) < 2:
+        raise ValueError("need at least two run specs to compare")
     train_corpus, eval_corpus = config.corpora()
     results = compare_variants(
         train_corpus,

@@ -119,18 +119,22 @@ def _incoming(fst: Fst) -> list[list[tuple[int, Arc]]]:
     return ins
 
 
-def forward_scores(lat: Lattice, mode: str = "log") -> list[float]:
-    """Per-state forward scores from the start state.
+def _topological(lat: Lattice) -> Fst:
+    """The lattice's Fst, after checking that every arc runs to a higher state."""
+    if any(arc.src >= arc.dst for arc in lat.fst.arcs()):
+        raise ValueError("lattice states are not topologically numbered")
+    return lat.fst
 
-    ``mode`` selects the semiring: "log" sums paths (log-sum-exp), "tropical"
-    keeps the best path (max). States are already topologically numbered.
+
+def forward_scores(lat: Lattice) -> list[float]:
+    """Per-state log-semiring forward scores from the start state.
+
+    Raises ``ValueError`` unless the states are topologically numbered, as
+    :func:`intersect_dense` numbers them.
     """
-    if mode not in ("log", "tropical"):
-        raise ValueError(f"unknown mode {mode!r}")
-    fst = lat.fst
+    fst = _topological(lat)
     if fst.is_empty:
         return []
-    plus = log_add if mode == "log" else max
     scores = [LOG_ZERO] * fst.num_states
     scores[fst.start] = 0.0
     incoming = _incoming(fst)
@@ -139,19 +143,16 @@ def forward_scores(lat: Lattice, mode: str = "log") -> list[float]:
             continue
         acc = LOG_ZERO
         for _, arc in incoming[s]:
-            acc = plus(acc, scores[arc.src] + arc.weight)
+            acc = log_add(acc, scores[arc.src] + arc.weight)
         scores[s] = acc
     return scores
 
 
-def backward_scores(lat: Lattice, mode: str = "log") -> list[float]:
+def backward_scores(lat: Lattice) -> list[float]:
     """Per-state backward scores to the final state (mirror of forward)."""
-    if mode not in ("log", "tropical"):
-        raise ValueError(f"unknown mode {mode!r}")
-    fst = lat.fst
+    fst = _topological(lat)
     if fst.is_empty:
         return []
-    plus = log_add if mode == "log" else max
     scores = [LOG_ZERO] * fst.num_states
     scores[fst.final] = 0.0
     for s in range(fst.num_states - 1, -1, -1):
@@ -159,16 +160,16 @@ def backward_scores(lat: Lattice, mode: str = "log") -> list[float]:
             continue
         acc = LOG_ZERO
         for arc in fst.arcs_from(s):
-            acc = plus(acc, arc.weight + scores[arc.dst])
+            acc = log_add(acc, arc.weight + scores[arc.dst])
         scores[s] = acc
     return scores
 
 
-def total_score(lat: Lattice, mode: str = "log") -> float:
-    """Semiring total over all paths (forward score of the final state)."""
+def total_score(lat: Lattice) -> float:
+    """Log-semiring total over all paths (forward score of the final state)."""
     if lat.is_empty:
         raise NoPathError("empty lattice has no paths")
-    return forward_scores(lat, mode)[lat.fst.final]
+    return forward_scores(lat)[lat.fst.final]
 
 
 def best_path(lat: Lattice) -> tuple[list[int], float]:
@@ -179,7 +180,7 @@ def best_path(lat: Lattice) -> tuple[list[int], float]:
     """
     if lat.is_empty:
         raise NoPathError("empty lattice has no paths")
-    fst = lat.fst
+    fst = _topological(lat)
     scores = [LOG_ZERO] * fst.num_states
     back: list[tuple[int, Arc] | None] = [None] * fst.num_states
     scores[fst.start] = 0.0
@@ -212,8 +213,8 @@ def arc_posteriors(lat: Lattice) -> np.ndarray:
     """
     if lat.is_empty:
         raise NoPathError("empty lattice has no paths")
-    fwd = forward_scores(lat, "log")
-    bwd = backward_scores(lat, "log")
+    fwd = forward_scores(lat)
+    bwd = backward_scores(lat)
     total = fwd[lat.fst.final]
     post = np.empty(lat.fst.num_arcs, dtype=float)
     for arc_id, arc in enumerate(lat.fst.arcs()):

@@ -17,36 +17,18 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InfeasibleAlignmentError, NoPathError
-from .fsa import TERMINAL, Fst
-from .topology import (
-    STANDARD,
-    TopologyVariant,
-    build_training_graph,
-    collapse_ctc,
-    enumerate_alignments,
-    hard,
-)
-
-
-def frame_capped(variant: TopologyVariant, num_frames: int) -> TopologyVariant:
-    """``variant`` with a hard bound above ``num_frames`` lowered to it.
-
-    A run can never be longer than the frame count, so the capped graph has
-    the same paths (and total) at that length, with far fewer states.
-    """
-    if variant.kind == "hard" and variant.max_run > num_frames:
-        return hard(num_frames)
-    return variant
+from .fsa import BLANK
+from .topology import STANDARD, TopologyVariant, collapse_ctc, enumerate_alignments
 
 
 @dataclass(frozen=True)
 class GraphBatch:
-    """Training graphs packed by :func:`pack` for batched forward-backward.
+    """CTC chains packed by :func:`pack` for batched forward-backward.
 
     All arcs entering a state carry one input symbol, so a state scores its
     symbol's grid entry at each frame: the state-emitting recursion of Graves
-    et al. 2006 (section 4.1), generalised from the 2U+1 chain to any training
-    graph. Arrays are padded to the largest graph with arcless states and
+    et al. 2006 (section 4.1), generalised from the 2U+1 chain to soft and
+    hard runs. Arrays are padded to the largest graph with arcless states and
     -inf arcs; arc endpoints are flat indices into a (batch, states) array.
     """
 
@@ -55,7 +37,7 @@ class GraphBatch:
     in_w: np.ndarray  # (B, S, J) its weight
     out_dst: np.ndarray  # (B, S, K) flat destination of each arc leaving it
     out_w: np.ndarray  # (B, S, K) its weight
-    fin: np.ndarray  # (B, S) weight of the terminal arc leaving the state
+    fin: np.ndarray  # (B, S) final weight of the state, -inf if it is not final
     onehot: np.ndarray  # (B, S, C) state-to-symbol map
 
     def total_and_occupancy(self, grids) -> tuple[np.ndarray, np.ndarray]:
@@ -95,34 +77,56 @@ def _padded(arcs: list[list[tuple[int, float]]], shape) -> tuple[np.ndarray, np.
     return index.reshape(*shape, width), weight.reshape(*shape, width)
 
 
-def pack(graphs: Sequence[Fst], num_classes: int) -> GraphBatch:
-    """Pack training graphs over ``num_classes`` grid columns into a batch.
+def _chain(labels: Sequence[int], depth: int, loop: float | None):
+    """One chain's arcs ``(src, dst, weight)``, sorted so that each state's
+    arcs enter and leave in state order; its state symbols; its final states."""
+    arcs, syms = [(0, 0, 0.0)], [BLANK]
+    blank, run = 0, []
+    for tok, prev in zip(labels, [None, *labels]):
+        # A repeated label must pass through the blank between the two runs.
+        sources = [blank] + (run if tok != prev else [])
+        run = list(range(blank + 1, blank + 1 + depth))
+        blank = run[-1] + 1
+        arcs += [(src, run[0], 0.0) for src in sources]
+        arcs += [(a, b, 0.0) for a, b in zip(run, run[1:])]
+        if loop is not None:
+            arcs.append((run[-1], run[-1], loop))  # the non-blank self-loop
+        arcs += [(s, blank, 0.0) for s in run] + [(blank, blank, 0.0)]
+        syms += [tok] * depth + [BLANK]
+    return sorted(arcs), syms, run + [blank]
 
-    Raises ``ValueError`` for an empty graph, one not starting at state 0, an
-    input label outside the grid's columns, or a state entered by two symbols.
+
+def pack(
+    label_seqs: Sequence[Sequence[int]], variant: TopologyVariant, num_frames: int, num_classes: int
+) -> GraphBatch:
+    """Pack the CTC chains of ``label_seqs`` for (num_frames, num_classes) grids.
+
+    A chain is blank state 0, then per label a run and a blank state. A hard
+    run is ``max_run`` states in a row; a standard or soft run is one state
+    with a self-loop weighted ``-penalty`` (0 for standard). A hard bound
+    ``>= num_frames`` packs the standard chain: no run can be longer. The
+    tests hold the chains to :func:`build_training_graph`. Raises
+    ``ValueError`` for a label outside 1..``num_classes - 1``.
     """
-    batch = len(graphs)
-    states = max(g.num_states for g in graphs)
+    for tok in (tok for labels in label_seqs for tok in labels):
+        if not 1 <= tok < num_classes:
+            raise ValueError(f"label {tok} outside vocabulary range 1..{num_classes - 1}")
+    bounded = variant.kind == "hard" and variant.max_run < num_frames
+    depth = variant.max_run if bounded else 1
+    loop = None if bounded else (-variant.penalty if variant.kind == "soft" else 0.0)
+    chains = [_chain(labels, depth, loop) for labels in label_seqs]
+    batch, states = len(chains), max(len(syms) for _, syms, _ in chains)
     sym = np.zeros((batch, states), dtype=np.intp)
     fin = np.full((batch, states), -np.inf)
     ins: list[list[tuple[int, float]]] = [[] for _ in range(batch * states)]
     outs: list[list[tuple[int, float]]] = [[] for _ in range(batch * states)]
-    for n, g in enumerate(graphs):
-        if g.is_empty or g.start != 0:
-            raise ValueError(f"graph {n} is empty or does not start at state 0")
+    for n, (arcs, syms, finals) in enumerate(chains):
         base = n * states
-        entered: dict[int, int] = {}
-        for arc in g.arcs():
-            if arc.ilabel == TERMINAL:
-                fin[n, arc.src] = np.logaddexp(fin[n, arc.src], arc.weight)
-                continue
-            if entered.setdefault(arc.dst, arc.ilabel) != arc.ilabel:
-                raise ValueError(f"state {arc.dst} of graph {n} is entered by two symbols")
-            sym[n, arc.dst] = arc.ilabel
-            ins[base + arc.dst].append((base + arc.src, arc.weight))
-            outs[base + arc.src].append((base + arc.dst, arc.weight))
-    if sym.min() < 0 or sym.max() >= num_classes:
-        raise ValueError(f"graph input labels must lie in grid columns 0..{num_classes - 1}")
+        sym[n, : len(syms)] = syms
+        fin[n, finals] = 0.0
+        for src, dst, weight in arcs:
+            ins[base + dst].append((base + src, weight))
+            outs[base + src].append((base + dst, weight))
     in_src, in_w = _padded(ins, (batch, states))
     out_dst, out_w = _padded(outs, (batch, states))
     onehot = (sym[:, :, None] == np.arange(num_classes)).astype(float)
@@ -168,9 +172,9 @@ def ctc_loss(
     if grid.ndim != 2 or grid.size == 0 or not np.isfinite(grid).all():
         raise ValueError(f"grid must be a finite T x (V+1) matrix, not {grid.shape}")
     num_frames, num_cols = grid.shape
-    graph = build_training_graph(labels, num_cols - 1, frame_capped(variant, num_frames))
+    batch = pack([labels], variant, num_frames, num_cols)
     try:
-        total, occupancy = pack([graph], num_cols).total_and_occupancy(grid[None])
+        total, occupancy = batch.total_and_occupancy(grid[None])
     except NoPathError:
         raise InfeasibleAlignmentError(num_frames, len(labels), variant) from None
     return LossResult(-float(total[0]), np.exp(grid) - occupancy[0], occupancy[0])
@@ -277,9 +281,8 @@ def format_matrix(matrix) -> str:
     """Matrix text format: a ``T C`` header line, then T rows of C values."""
     matrix = np.asarray(matrix, dtype=float)
     rows, cols = matrix.shape
-    lines = [f"{rows} {cols}"]
-    for row in matrix:
-        lines.append(" ".join(f"{v:.12g}" for v in row))
+    row_format = " ".join(["%.12g"] * cols)
+    lines = [f"{rows} {cols}"] + [row_format % tuple(row) for row in matrix.tolist()]
     return "\n".join(lines) + "\n"
 
 

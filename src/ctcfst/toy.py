@@ -3,7 +3,7 @@
 Synthetic frame-labeled corpora, a per-frame linear classifier trained with
 the exact CTC loss under any topology variant, and blank-ratio measurement.
 The trainer runs the batched forward-backward engine of :mod:`ctcfst.loss`
-(the one behind ``ctc_loss``) over the cached per-utterance training graphs,
+(the one behind ``ctc_loss``) over the per-utterance CTC chains, packed once,
 one padded batch per step.
 
 Token runs are emitted with an onset/sustain amplitude envelope: the first
@@ -21,9 +21,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InfeasibleAlignmentError, TrainingDivergedError
-from .loss import frame_capped, greedy_decode, log_softmax, pack
+from .loss import greedy_decode, log_softmax, pack
 from .skip import SWEEP_BETAS, SweepPoint, sweep_thresholds
-from .topology import STANDARD, TopologyVariant, build_training_graph
+from .topology import STANDARD, TopologyVariant
 
 
 @dataclass(frozen=True)
@@ -76,9 +76,14 @@ class ExperimentConfig:
             raise ValueError("steps must be >= 1")
         if self.skip_beta is not None and not 0 < self.skip_beta < 1:
             raise ValueError(f"skip_beta must lie in (0, 1), got {self.skip_beta:g}")
+        if not self.betas:
+            raise ValueError("betas must not be empty")
         if not all(0 < beta < 1 for beta in self.betas):
             raise ValueError("betas must lie in (0, 1)")
-        self._splits()  # CorpusConfig checks the split sizes
+        for key in ("train_utterances", "eval_utterances"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1")
+        self._splits()  # CorpusConfig checks the corpus shape
 
     def _splits(self) -> list[CorpusConfig]:
         sizes = (self.train_utterances, self.eval_utterances)
@@ -186,8 +191,7 @@ def train(
     ExperimentConfig(steps=steps, skip_beta=skip_beta)  # the range checks
     utts = corpus.utterances
     batch = len(utts)
-    vocab = corpus.config.vocab_size
-    classes = vocab + 1
+    classes = corpus.config.vocab_size + 1
     dim = corpus.config.feature_dim
     t_counts = np.array([len(u.features) for u in utts])
     t_max = int(t_counts.max())
@@ -196,11 +200,7 @@ def train(
         if t_counts[n] < min_lens[n]:
             raise InfeasibleAlignmentError(int(t_counts[n]), len(u.labels), variant)
 
-    graphs = [
-        build_training_graph(u.labels, vocab, frame_capped(variant, t_max))
-        for u in utts
-    ]
-    engine = pack(graphs, classes)
+    engine = pack([u.labels for u in utts], variant, t_max, classes)
 
     feats = np.zeros((batch, t_max, dim))
     real = np.zeros((batch, t_max), dtype=bool)

@@ -56,6 +56,12 @@ class TestLoss:
         assert out[1].split() == ["3", "3"]
         assert len(out) == 5
 
+    @pytest.mark.parametrize("labels", ["1,3", "0", "2,-1"])
+    def test_label_outside_vocabulary_exits_one(self, capsys, uniform3, labels):
+        assert main(["loss", "--labels", labels, "--grid", uniform3]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "outside vocabulary range 1..2" in err
+
     def test_missing_file_exits_one(self, capsys):
         assert main(["loss", "--labels", "A", "--grid", "/nonexistent.txt"]) == 1
 
@@ -260,12 +266,14 @@ class TestExperimentCommands:
             ("train-toy", {"steps": True}, "'steps'"),
             ("train-toy", {"noise": "0.2"}, "'noise'"),
             ("train-toy", {"betas": [0.5, 1.0]}, "betas must lie in (0, 1)"),
+            ("train-toy", {"betas": []}, "betas must not be empty"),
+            ("train-toy", {"train_utterances": 0}, "train_utterances must be >= 1"),
             ("compare", {"skip_beta": 0.5}, "'skip_beta' does not apply to compare"),
             ("compare", {"betas": [0.5, 0.99]}, "needs 0.9 in betas"),
         ],
         ids=[
             "list", "seed-null", "steps-null", "steps-bool", "noise-string",
-            "betas-range", "compare-skip-beta", "compare-betas-without-0.9",
+            "betas-range", "betas-empty", "train-utterances-zero", "compare-skip-beta", "compare-betas-without-0.9",
         ],
     )
     def test_bad_setting_exits_one_before_any_corpus(
@@ -281,6 +289,11 @@ class TestExperimentCommands:
         assert code == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err
+
+    def test_single_run_spec_exits_one_before_any_corpus(self, tmp_path, capsys, no_corpus):
+        assert main(["compare", "--runs", "standard", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "need at least two run specs" in err
 
     def test_standard_run_spec_takes_no_parameter(self, tmp_path, capsys, no_corpus):
         code = main(["compare", "--runs", "standard:3,hard:1", "--out", str(tmp_path)])

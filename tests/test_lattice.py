@@ -5,6 +5,8 @@ import pytest
 
 from conftest import random_grid, uniform_grid
 from ctcfst import (
+    Fst,
+    Lattice,
     NoPathError,
     arc_posteriors,
     backward_scores,
@@ -69,9 +71,7 @@ class TestIntersectDense:
 class TestForwardBackward:
     def test_total_matches_closed_form(self, uniform_ab):
         assert total_score(uniform_ab) == pytest.approx(math.log(5 / 27), abs=1e-12)
-        assert total_score(uniform_ab, "tropical") == pytest.approx(
-            3 * math.log(1 / 3), abs=1e-12
-        )
+        assert best_path(uniform_ab)[1] == pytest.approx(3 * math.log(1 / 3), abs=1e-12)
 
     def test_single_path_lattice_scores(self):
         grid = random_grid(np.random.default_rng(1), 2, 3)
@@ -90,8 +90,8 @@ class TestForwardBackward:
             lat = make_lattice(labels, grid)
             if lat.is_empty:
                 continue
-            fwd = forward_scores(lat, "log")[lat.fst.final]
-            bwd = backward_scores(lat, "log")[lat.fst.start]
+            fwd = forward_scores(lat)[lat.fst.final]
+            bwd = backward_scores(lat)[lat.fst.start]
             assert abs(fwd - bwd) < 1e-9
 
     def test_total_matches_enumerated_paths(self):
@@ -107,14 +107,23 @@ class TestForwardBackward:
                 scores = [s for _, s in iterate_paths(lat)]
                 shift = max(scores)
                 expect_log = shift + math.log(sum(math.exp(s - shift) for s in scores))
-                assert total_score(lat, "log") == pytest.approx(expect_log, abs=1e-9)
-                assert total_score(lat, "tropical") == pytest.approx(
-                    max(scores), abs=1e-12
-                )
+                assert total_score(lat) == pytest.approx(expect_log, abs=1e-9)
+                assert best_path(lat)[1] == pytest.approx(max(scores), abs=1e-12)
 
-    def test_unknown_mode_rejected(self, uniform_ab):
-        with pytest.raises(ValueError, match="mode"):
-            forward_scores(uniform_ab, "viterbi")
+    @pytest.mark.parametrize(
+        "score", [forward_scores, backward_scores, total_score, best_path, arc_posteriors]
+    )
+    def test_non_topological_numbering_rejected(self, score):
+        # start 0 -> 2 -> final 1: numbered out of order, one path of weight -0.5.
+        fst = Fst()
+        for _ in range(3):
+            fst.add_state()
+        fst.start, fst.final = 0, 1
+        fst.add_arc(0, 2, 1, 1, -0.5)
+        fst.add_arc(2, 1, TERMINAL, 0)
+        lat = Lattice(fst=fst, frame_of_arc=[0, TERMINAL], num_frames=1)
+        with pytest.raises(ValueError, match="topologically"):
+            score(lat)
 
 
 class TestBestPath:

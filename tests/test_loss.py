@@ -207,6 +207,15 @@ class TestMatrixFormat:
         parsed = parse_matrix(format_matrix(matrix))
         assert parsed == pytest.approx(matrix, abs=1e-9)
 
+    def test_bytes_match_per_value_formatting(self):
+        rng = np.random.default_rng(12)
+        extremes = np.array([[0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308]])
+        spread = rng.standard_normal((6, 5)) * 10.0 ** rng.integers(-300, 300, (6, 5))
+        for matrix in (extremes, rng.standard_normal((40, 11)), spread):
+            rows = [" ".join(f"{v:.12g}" for v in row) for row in matrix]
+            want = "\n".join([f"{matrix.shape[0]} {matrix.shape[1]}", *rows]) + "\n"
+            assert format_matrix(matrix) == want
+
     def test_header_mismatch_rejected(self):
         with pytest.raises(ValueError, match="rows"):
             parse_matrix("2 2\n0 0\n")

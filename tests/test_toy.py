@@ -10,7 +10,6 @@ from ctcfst import (
     STANDARD,
     TERMINAL,
     CorpusConfig,
-    Fst,
     InfeasibleAlignmentError,
     NoPathError,
     RunSpec,
@@ -32,7 +31,7 @@ from ctcfst import (
     total_score,
     train,
 )
-from ctcfst.loss import frame_capped, pack
+from ctcfst.loss import pack
 from ctcfst.topology import build_training_graph
 from ctcfst.toy import ExperimentConfig
 
@@ -124,18 +123,14 @@ def lattice_oracle(labels, grid, variant):
 
 
 def packed_batch(labels_list, grids, variant):
-    """The engine's inputs as the trainer builds them: capped graphs and
-    grids padded with certain-blank rows."""
+    """The engine's inputs as the trainer builds them: chains packed for the
+    longest grid, and grids padded with certain-blank rows."""
     t_max = max(len(g) for g in grids)
-    graphs = [
-        build_training_graph(labels, VOCAB, frame_capped(variant, t_max))
-        for labels in labels_list
-    ]
     padded = np.full((len(grids), t_max, CLASSES), -np.inf)
     padded[:, :, 0] = 0.0
     for n, grid in enumerate(grids):
         padded[n, : len(grid)] = grid
-    return pack(graphs, CLASSES), padded
+    return pack(labels_list, variant, t_max, CLASSES), padded
 
 
 def assert_engine_matches_lattice(labels_list, grids, variant):
@@ -190,16 +185,20 @@ class TestGraphBatchEngine:
             with pytest.raises(NoPathError):
                 engine.total_and_occupancy(padded)
 
-    def test_pack_rejects_state_entered_by_two_symbols(self):
-        graph = Fst()
-        for _ in range(3):
-            graph.add_state()
-        graph.start, graph.final = 0, 2
-        graph.add_arc(0, 1, 1, 1)
-        graph.add_arc(0, 1, 2, 2)
-        graph.add_arc(1, 2, TERMINAL, 0)
-        with pytest.raises(ValueError, match="entered by two symbols"):
-            pack([graph], CLASSES)
+    @pytest.mark.parametrize("over", [0, 1, 1000])
+    def test_hard_bound_of_at_least_the_frames_packs_the_standard_chain(self, over):
+        rng = np.random.default_rng(5)
+        labels_list = [[1, 2, 2], [3], []]
+        grids = [log_softmax(rng.standard_normal((t, CLASSES))) for t in (7, 5, 3)]
+        standard, padded = packed_batch(labels_list, grids, STANDARD)
+        capped, _ = packed_batch(labels_list, grids, hard(7 + over))
+        assert capped.sym.shape == standard.sym.shape == (3, 1 + 3 * 2)
+        for got, want in zip(
+            capped.total_and_occupancy(padded), standard.total_and_occupancy(padded)
+        ):
+            assert np.array_equal(got, want)
+        below, _ = packed_batch(labels_list, grids, hard(6))
+        assert below.sym.shape == (3, 1 + 3 * (6 + 1))
 
 
 class TestTrain:
