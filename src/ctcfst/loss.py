@@ -2,7 +2,8 @@
 
 One batched forward-backward engine (:func:`pack` and
 :meth:`GraphBatch.total_and_occupancy`) serves both :func:`ctc_loss`, as a
-batch of one, and the toy trainer. Three independent implementations
+batch of one with every frame kept, and the toy trainer, which masks out its
+padding and skipped frames. Three independent implementations
 cross-check it in the tests: the generic lattice of :mod:`ctcfst.lattice`,
 the classic alpha recursion over the 2U+1 expanded label sequence (standard
 topology only) and a brute-force sum over enumerated alignments (all
@@ -40,31 +41,37 @@ class GraphBatch:
     fin: np.ndarray  # (B, S) final weight of the state, -inf if it is not final
     onehot: np.ndarray  # (B, S, C) state-to-symbol map
 
-    def total_and_occupancy(self, grids) -> tuple[np.ndarray, np.ndarray]:
+    def total_and_occupancy(self, grids, keep) -> tuple[np.ndarray, np.ndarray]:
         """Log-total per graph and (B, T, C) symbol occupancy of (B, T, C) grids.
 
-        Rows past an utterance's end must be certain-blank (blank 0, all else
-        -inf): each extends every path by one free blank, leaving totals as
-        they are. Raises :class:`NoPathError` if a graph has no T-frame path.
+        ``keep`` is a (B, T) boolean mask of the frames each graph consumes. A
+        dropped frame, whether past an utterance's end or skipped, is an
+        identity step: alpha and beta pass through it unchanged, its grid row
+        has no effect and its occupancy is 0. Raises :class:`NoPathError` if a
+        graph has no path through its kept frames.
         """
         frames = grids.shape[1]
+        drop = ~keep.T[:, :, None]
         emit = np.take_along_axis(grids, self.sym[:, None, :], axis=2).transpose(1, 0, 2)
         alpha = np.full((frames + 1,) + self.sym.shape, -np.inf)
         alpha[0, :, 0] = 0.0
         for t in range(frames):
             arrive = alpha[t].ravel()[self.in_src] + self.in_w
             alpha[t + 1] = np.logaddexp.reduce(arrive, axis=2) + emit[t]
+            np.copyto(alpha[t + 1], alpha[t], where=drop[t])
         total = np.logaddexp.reduce(alpha[frames] + self.fin, axis=1)
         # Checked before occupancy is formed, where -inf - -inf would be NaN.
         if (total == -np.inf).any():
-            raise NoPathError(f"a graph in the batch has no path of {frames} frames")
+            raise NoPathError("a graph in the batch has no path through its kept frames")
         beta = np.empty_like(alpha)
         beta[frames] = self.fin
         for t in range(frames - 1, -1, -1):
             leave = (beta[t + 1] + emit[t]).ravel()[self.out_dst] + self.out_w
             beta[t] = np.logaddexp.reduce(leave, axis=2)
+            np.copyto(beta[t], beta[t + 1], where=drop[t])
         post = np.exp(alpha[1:] + beta[1:] - total[:, None])
-        return total, np.matmul(post.transpose(1, 0, 2), self.onehot)
+        occupancy = np.matmul(post.transpose(1, 0, 2), self.onehot)
+        return total, np.where(keep[:, :, None], occupancy, 0.0)
 
 
 def _padded(arcs: list[list[tuple[int, float]]], shape) -> tuple[np.ndarray, np.ndarray]:
@@ -174,7 +181,7 @@ def ctc_loss(
     num_frames, num_cols = grid.shape
     batch = pack([labels], variant, num_frames, num_cols)
     try:
-        total, occupancy = batch.total_and_occupancy(grid[None])
+        total, occupancy = batch.total_and_occupancy(grid[None], np.ones((1, num_frames), bool))
     except NoPathError:
         raise InfeasibleAlignmentError(num_frames, len(labels), variant) from None
     return LossResult(-float(total[0]), np.exp(grid) - occupancy[0], occupancy[0])
@@ -255,6 +262,8 @@ def grad_check(
     epsilon: float = 1e-5,
 ) -> float:
     """Max relative error between analytic and central-difference gradients."""
+    if not 0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be a finite positive number, got {epsilon:g}")
     logits = np.asarray(logits, dtype=float)
     analytic = ctc_loss(labels, log_softmax(logits), variant).grad_logits
     worst = 0.0
@@ -295,12 +304,23 @@ def parse_matrix(text: str) -> np.ndarray:
     if len(header) != 2:
         raise ValueError(f"malformed matrix header: {lines[0]!r}")
     rows, cols = int(header[0]), int(header[1])
-    if len(lines) - 1 != rows:
-        raise ValueError(f"expected {rows} matrix rows, found {len(lines) - 1}")
-    out = np.empty((rows, cols), dtype=float)
-    for i, line in enumerate(lines[1:]):
-        values = line.split()
-        if len(values) != cols:
-            raise ValueError(f"row {i} has {len(values)} values, expected {cols}")
-        out[i] = [float(v) for v in values]
+    body = lines[1:]
+    if len(body) != rows:
+        raise ValueError(f"expected {rows} matrix rows, found {len(body)}")
+    if not body:
+        return np.empty((0, cols))
+    try:
+        out = np.loadtxt(body, comments=None, ndmin=2)
+    except ValueError:
+        # Name the first short or long row; a value that is no number re-raises.
+        for i, values in enumerate(line.split() for line in body):
+            if len(values) != cols:
+                raise _bad_width(i, len(values), cols) from None
+        raise
+    if out.shape[1] != cols:
+        raise _bad_width(0, out.shape[1], cols)
     return out
+
+
+def _bad_width(row: int, width: int, cols: int) -> ValueError:
+    return ValueError(f"row {row} has {width} values, expected {cols}")

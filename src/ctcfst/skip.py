@@ -40,7 +40,7 @@ def classify_blank_frames(blank_probs: Sequence[float], beta: float) -> SkipMask
     probs = np.asarray(blank_probs, dtype=float)
     if probs.ndim != 1 or probs.size == 0:
         raise ValueError("blank_probs must be a non-empty 1-D sequence")
-    if ((probs < 0.0) | (probs > 1.0)).any():
+    if not ((probs >= 0.0) & (probs <= 1.0)).all():  # NaN fails both tests
         raise ValueError("blank probabilities must lie in [0, 1]")
     return SkipMask(skip=tuple(bool(p > beta) for p in probs), threshold=beta)
 

@@ -4,7 +4,9 @@ Synthetic frame-labeled corpora, a per-frame linear classifier trained with
 the exact CTC loss under any topology variant, and blank-ratio measurement.
 The trainer runs the batched forward-backward engine of :mod:`ctcfst.loss`
 (the one behind ``ctc_loss``) over the per-utterance CTC chains, packed once,
-one padded batch per step.
+one padded batch per step. A frame past an utterance's end and a frame
+skipped by ``skip_beta`` are the same case: both are left out of the
+engine's keep mask, so the grid goes in unchanged.
 
 Token runs are emitted with an onset/sustain amplitude envelope: the first
 frame of a run carries the full class mean, later frames a scaled-down copy.
@@ -22,7 +24,7 @@ import numpy as np
 
 from .errors import InfeasibleAlignmentError, TrainingDivergedError
 from .loss import greedy_decode, log_softmax, pack
-from .skip import SWEEP_BETAS, SweepPoint, sweep_thresholds
+from .skip import SWEEP_BETAS, SweepPoint, gamma_max, sweep_thresholds
 from .topology import STANDARD, TopologyVariant
 
 
@@ -112,7 +114,7 @@ class SyntheticCorpus:
     def gamma_max(self) -> float:
         tokens = sum(len(u.labels) for u in self.utterances)
         frames = sum(len(u.features) for u in self.utterances)
-        return 1.0 - tokens / frames
+        return gamma_max(tokens, frames)
 
 
 def token_means(config: CorpusConfig) -> np.ndarray:
@@ -183,7 +185,7 @@ def train(
     """Plain gradient descent on the mean CTC loss through a linear model.
 
     With ``skip_beta`` set, frames whose current blank probability exceeds
-    the threshold are excluded from the loss once warmup is over; an
+    the threshold are dropped from the keep mask once warmup is over; an
     utterance whose retained frames could no longer fit its labels keeps all
     of them for that step. Training is deterministic: zero init, full batch,
     fixed summation order.
@@ -207,14 +209,10 @@ def train(
     for n, u in enumerate(utts):
         feats[n, : t_counts[n]] = u.features
         real[n, : t_counts[n]] = True
-    pad_row = np.full(classes, -np.inf)
-    pad_row[0] = 0.0
 
     weights = np.zeros((dim, classes))
     bias = np.zeros(classes)
     warmup_steps = int(round(warmup_fraction * steps))
-    nn = np.arange(batch)[:, None]
-    identity_order = np.broadcast_to(np.arange(t_max), (batch, t_max))
     losses: list[float] = []
 
     for step in range(steps):
@@ -223,32 +221,19 @@ def train(
         logp = shifted - np.log(np.exp(shifted).sum(axis=2, keepdims=True))
         probs = np.exp(logp)
 
+        keep = real
         if skip_beta is not None and step >= warmup_steps:
             keep = real & ~(probs[:, :, 0] > skip_beta)
-            kept = keep.sum(axis=1)
-            infeasible = kept < min_lens
-            if infeasible.any():
-                keep[infeasible] = real[infeasible]
-                kept = keep.sum(axis=1)
-            order = np.argsort(~keep, axis=1, kind="stable")
-        else:
-            order = identity_order
-            kept = t_counts
+            infeasible = keep.sum(axis=1) < min_lens
+            keep[infeasible] = real[infeasible]
 
-        grids = np.where(real[:, :, None], logp, pad_row)
-        eff = grids[nn, order]
-        live = np.arange(t_max)[None, :] < kept[:, None]
-        eff = np.where(live[:, :, None], eff, pad_row)
-
-        total, occupancy = engine.total_and_occupancy(eff)
+        total, occupancy = engine.total_and_occupancy(logp, keep)
         loss = float(np.mean(-total))
         if not np.isfinite(loss):
             raise TrainingDivergedError(step)
         losses.append(loss)
 
-        grad_eff = np.where(live[:, :, None], probs[nn, order] - occupancy, 0.0)
-        grad_logits = np.empty_like(grad_eff)
-        grad_logits[nn, order] = grad_eff
+        grad_logits = np.where(keep[:, :, None], probs - occupancy, 0.0)
         # Divergence surfaces as non-finite parameters, raised below; keep the
         # overflow itself quiet.
         with np.errstate(over="ignore", invalid="ignore"):

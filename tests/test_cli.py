@@ -121,6 +121,13 @@ class TestGradCheckCommand:
         assert main(["grad-check", "--labels", "A,B", "--logits", str(path)]) == 0
         assert float(capsys.readouterr().out.strip()) < 1e-4
 
+    @pytest.mark.parametrize("epsilon", ["0", "-1e-5", "nan"])
+    def test_epsilon_not_finite_positive_exits_one(self, capsys, uniform3, epsilon):
+        argv = ["grad-check", "--labels", "A", "--logits", uniform3, f"--epsilon={epsilon}"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "epsilon" in err
+
 
 class TestSkipCommand:
     def test_sweep_csv(self, tmp_path, capsys):
@@ -152,6 +159,13 @@ class TestSkipCommand:
         assert main(["skip", "analyze", "--probs", str(path)]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 7  # header + six thresholds
+
+    def test_nan_blank_probability_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "probs.txt"
+        path.write_text("3 2\n-0.1 -2.3\nnan -0.5\n-0.05 -3\n")
+        assert main(["skip", "analyze", "--probs", str(path), "--beta", "0.9"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "[0, 1]" in err
 
     def test_error_leaves_no_output_file(self, tmp_path):
         out = tmp_path / "out.csv"

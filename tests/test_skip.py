@@ -34,6 +34,8 @@ class TestClassifyBlankFrames:
             classify_blank_frames([1.2], 0.9)
         with pytest.raises(ValueError):
             classify_blank_frames([-0.1], 0.9)
+        with pytest.raises(ValueError):
+            classify_blank_frames([0.5, float("nan")], 0.9)
 
     def test_threshold_monotonicity(self):
         rng = np.random.default_rng(0)

@@ -122,20 +122,47 @@ def lattice_oracle(labels, grid, variant):
     return total_score(lat), occupancy
 
 
-def packed_batch(labels_list, grids, variant):
+def packed_batch(labels_list, grids, variant, masks=None):
     """The engine's inputs as the trainer builds them: chains packed for the
-    longest grid, and grids padded with certain-blank rows."""
+    longest grid, grids zero-padded to it, and a mask that drops the padding
+    and, when ``masks`` are given, each grid's frames they drop."""
     t_max = max(len(g) for g in grids)
-    padded = np.full((len(grids), t_max, CLASSES), -np.inf)
-    padded[:, :, 0] = 0.0
+    padded = np.zeros((len(grids), t_max, CLASSES))
+    keep = np.zeros((len(grids), t_max), dtype=bool)
     for n, grid in enumerate(grids):
         padded[n, : len(grid)] = grid
-    return pack(labels_list, variant, t_max, CLASSES), padded
+        keep[n, : len(grid)] = True if masks is None else masks[n]
+    return pack(labels_list, variant, t_max, CLASSES), padded, keep
+
+
+@st.composite
+def masked_batches(draw, feasible=True):
+    """1-3 (labels, grid, mask) triples: grids of up to 4 frames more than
+    the labels need, and masks that keep a random subset of at least the
+    minimum alignment length of frames (fewer, when not ``feasible``)."""
+    labels_list, grids, masks = [], [], []
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1.0, 30.0, 700.0]))
+    for _ in range(draw(st.integers(1, 3))):
+        labels = draw(st.lists(st.integers(1, VOCAB), min_size=0 if feasible else 1, max_size=3))
+        shortest = min_alignment_length(labels)
+        frames = draw(st.integers(max(1, shortest), shortest + 4))
+        if feasible:
+            count = draw(st.integers(max(1, shortest), frames))
+        else:
+            count = draw(st.integers(0, shortest - 1))
+        mask = np.zeros(frames, dtype=bool)
+        mask[rng.choice(frames, count, replace=False)] = True
+        labels_list.append(labels)
+        grids.append(log_softmax(rng.uniform(-scale, scale, (frames, CLASSES))))
+        masks.append(mask)
+    return labels_list, grids, masks
 
 
 def assert_engine_matches_lattice(labels_list, grids, variant):
-    batch, padded = packed_batch(labels_list, grids, variant)
-    total, occupancy = batch.total_and_occupancy(padded)
+    batch, padded, keep = packed_batch(labels_list, grids, variant)
+    total, occupancy = batch.total_and_occupancy(padded, keep)
+    assert not occupancy[~keep].any()
     for n, (labels, grid) in enumerate(zip(labels_list, grids)):
         want_total, want_occupancy = lattice_oracle(labels, grid, variant)
         single = ctc_loss(labels, grid, variant)
@@ -181,23 +208,52 @@ class TestGraphBatchEngine:
             for labels, grid in zip(labels_list, grids):
                 with pytest.raises(InfeasibleAlignmentError):
                     ctc_loss(labels, grid, variant)
-            engine, padded = packed_batch(labels_list, grids, variant)
+            engine, padded, keep = packed_batch(labels_list, grids, variant)
             with pytest.raises(NoPathError):
-                engine.total_and_occupancy(padded)
+                engine.total_and_occupancy(padded, keep)
+
+    # Not hard(2): two kept frames alone pack the standard chain, which gives
+    # the same loss as the bounded chain packed for the batch, but not the
+    # same bits.
+    @pytest.mark.parametrize("variant", [STANDARD, soft(0.3), hard(1), hard(50)], ids=str)
+    @ENGINE_SETTINGS
+    @given(batch=masked_batches())
+    def test_dropped_frames_match_the_kept_frames_alone(self, variant, batch):
+        labels_list, grids, masks = batch
+        engine, padded, keep = packed_batch(labels_list, grids, variant, masks)
+        total, occupancy = engine.total_and_occupancy(padded, keep)
+        assert not occupancy[~keep].any()
+        for n, (labels, grid, mask) in enumerate(zip(labels_list, grids, masks)):
+            single = ctc_loss(labels, grid[mask], variant)
+            assert -total[n] == single.loss
+            assert np.array_equal(occupancy[n, keep[n]], single.occupancy)
+
+    @ENGINE_SETTINGS
+    @given(
+        batch=masked_batches(feasible=False),
+        variant=st.sampled_from([STANDARD, soft(700.0), hard(1), hard(3)]),
+    )
+    def test_too_few_kept_frames_raise_without_nan(self, batch, variant):
+        labels_list, grids, masks = batch
+        engine, padded, keep = packed_batch(labels_list, grids, variant, masks)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoPathError):
+                engine.total_and_occupancy(padded, keep)
 
     @pytest.mark.parametrize("over", [0, 1, 1000])
     def test_hard_bound_of_at_least_the_frames_packs_the_standard_chain(self, over):
         rng = np.random.default_rng(5)
         labels_list = [[1, 2, 2], [3], []]
         grids = [log_softmax(rng.standard_normal((t, CLASSES))) for t in (7, 5, 3)]
-        standard, padded = packed_batch(labels_list, grids, STANDARD)
-        capped, _ = packed_batch(labels_list, grids, hard(7 + over))
+        standard, padded, keep = packed_batch(labels_list, grids, STANDARD)
+        capped, _, _ = packed_batch(labels_list, grids, hard(7 + over))
         assert capped.sym.shape == standard.sym.shape == (3, 1 + 3 * 2)
         for got, want in zip(
-            capped.total_and_occupancy(padded), standard.total_and_occupancy(padded)
+            capped.total_and_occupancy(padded, keep), standard.total_and_occupancy(padded, keep)
         ):
             assert np.array_equal(got, want)
-        below, _ = packed_batch(labels_list, grids, hard(6))
+        below, _, _ = packed_batch(labels_list, grids, hard(6))
         assert below.sym.shape == (3, 1 + 3 * (6 + 1))
 
 
