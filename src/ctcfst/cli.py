@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from typing import Sequence, get_args, get_origin, get_type_hints
@@ -335,8 +336,17 @@ def cmd_compare(args, parser) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a negative number in exponent form (``-1e-5``) as a value, not
+    as a flag; subparsers inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ctcfst",
         description="Blank-regularized CTC training graphs, losses, and frame-skip analysis",
     )

@@ -1,9 +1,10 @@
 """CTC negative log-likelihood and analytic gradients under any topology.
 
 One batched forward-backward engine (:func:`pack` and
-:meth:`GraphBatch.total_and_occupancy`) serves both :func:`ctc_loss`, as a
-batch of one with every frame kept, and the toy trainer, which masks out its
-padding and skipped frames. Three independent implementations
+:meth:`GraphBatch.total_and_occupancy`) serves :func:`ctc_loss`, as a batch
+of one with every frame kept, :func:`grad_check`, as one batch of bumped grids
+per frame, and the toy trainer, which masks out its padding and skipped
+frames. Three independent implementations
 cross-check it in the tests: the generic lattice of :mod:`ctcfst.lattice`,
 the classic alpha recursion over the 2U+1 expanded label sequence (standard
 topology only) and a brute-force sum over enumerated alignments (all
@@ -30,14 +31,15 @@ class GraphBatch:
     symbol's grid entry at each frame: the state-emitting recursion of Graves
     et al. 2006 (section 4.1), generalised from the 2U+1 chain to soft and
     hard runs. Arrays are padded to the largest graph with arcless states and
-    -inf arcs; arc endpoints are flat indices into a (batch, states) array.
+    -inf arcs. Arcs are stored arc-major, one contiguous (B, S) slot per arc
+    index, and their endpoints are flat indices into a (batch, states) array.
     """
 
     sym: np.ndarray  # (B, S) input symbol of every arc entering the state
-    in_src: np.ndarray  # (B, S, J) flat source of each arc entering the state
-    in_w: np.ndarray  # (B, S, J) its weight
-    out_dst: np.ndarray  # (B, S, K) flat destination of each arc leaving it
-    out_w: np.ndarray  # (B, S, K) its weight
+    in_src: np.ndarray  # (J, B, S) flat source of the j-th arc entering the state
+    in_w: np.ndarray  # (J, B, S) its weight
+    out_dst: np.ndarray  # (K, B, S) flat destination of the k-th arc leaving it
+    out_w: np.ndarray  # (K, B, S) its weight
     fin: np.ndarray  # (B, S) final weight of the state, -inf if it is not final
     onehot: np.ndarray  # (B, S, C) state-to-symbol map
 
@@ -47,41 +49,62 @@ class GraphBatch:
         ``keep`` is a (B, T) boolean mask of the frames each graph consumes. A
         dropped frame, whether past an utterance's end or skipped, is an
         identity step: alpha and beta pass through it unchanged, its grid row
-        has no effect and its occupancy is 0. Raises :class:`NoPathError` if a
-        graph has no path through its kept frames.
+        has no effect and its occupancy is 0. So each row's kept frames are
+        moved to the front in order, and the recursion runs over the largest
+        kept count only. Raises :class:`NoPathError` if a graph has no path
+        through its kept frames.
         """
-        frames = grids.shape[1]
-        drop = ~keep.T[:, :, None]
-        emit = np.take_along_axis(grids, self.sym[:, None, :], axis=2).transpose(1, 0, 2)
-        alpha = np.full((frames + 1,) + self.sym.shape, -np.inf)
+        batch, frames = keep.shape
+        kept = keep.sum(axis=1)
+        steps = int(kept.max(initial=0))
+        # Flat (batch * frames) index of each graph's kept frames, in order;
+        # past its own kept count a graph runs identity steps on dropped ones.
+        at = np.argsort(~keep, axis=1, kind="stable")[:, :steps]
+        at += np.arange(batch)[:, None] * frames
+        live = np.arange(steps) < kept[:, None]
+        drop = ~live.T[:, :, None]
+        emit = grids.reshape(batch * frames, -1)[at.T[:, :, None], self.sym]  # (F, B, S)
+        alpha = np.full((steps + 1,) + self.sym.shape, -np.inf)
         alpha[0, :, 0] = 0.0
-        for t in range(frames):
-            arrive = alpha[t].ravel()[self.in_src] + self.in_w
-            alpha[t + 1] = np.logaddexp.reduce(arrive, axis=2) + emit[t]
+        for t in range(steps):
+            _log_add_arcs(alpha[t].ravel(), self.in_src, self.in_w, alpha[t + 1])
+            alpha[t + 1] += emit[t]
             np.copyto(alpha[t + 1], alpha[t], where=drop[t])
-        total = np.logaddexp.reduce(alpha[frames] + self.fin, axis=1)
+        total = np.logaddexp.reduce(alpha[steps] + self.fin, axis=1)
         # Checked before occupancy is formed, where -inf - -inf would be NaN.
         if (total == -np.inf).any():
             raise NoPathError("a graph in the batch has no path through its kept frames")
         beta = np.empty_like(alpha)
-        beta[frames] = self.fin
-        for t in range(frames - 1, -1, -1):
-            leave = (beta[t + 1] + emit[t]).ravel()[self.out_dst] + self.out_w
-            beta[t] = np.logaddexp.reduce(leave, axis=2)
+        beta[steps] = self.fin
+        for t in range(steps - 1, -1, -1):
+            _log_add_arcs((beta[t + 1] + emit[t]).ravel(), self.out_dst, self.out_w, beta[t])
             np.copyto(beta[t], beta[t + 1], where=drop[t])
         post = np.exp(alpha[1:] + beta[1:] - total[:, None])
-        occupancy = np.matmul(post.transpose(1, 0, 2), self.onehot)
-        return total, np.where(keep[:, :, None], occupancy, 0.0)
+        occupancy = np.zeros((batch * frames, self.onehot.shape[2]))
+        occupancy[at] = np.where(
+            live[:, :, None], np.matmul(post.transpose(1, 0, 2), self.onehot), 0.0
+        )
+        return total, occupancy.reshape(batch, frames, -1)
+
+
+def _log_add_arcs(src, index, weight, out) -> None:
+    """Write ``log(sum_j exp(src[index[j]] + weight[j]))`` into ``out``, adding
+    the arc slots j left to right as ``np.logaddexp.reduce`` over them would."""
+    arcs = src.take(index)
+    arcs += weight
+    np.copyto(out, arcs[0])
+    for slot in arcs[1:]:
+        np.logaddexp(out, slot, out=out)
 
 
 def _padded(arcs: list[list[tuple[int, float]]], shape) -> tuple[np.ndarray, np.ndarray]:
     width = max(1, max(len(lst) for lst in arcs))
-    index = np.zeros((len(arcs), width), dtype=np.intp)
-    weight = np.full((len(arcs), width), -np.inf)
+    index = np.zeros((width, len(arcs)), dtype=np.intp)
+    weight = np.full((width, len(arcs)), -np.inf)
     for i, lst in enumerate(arcs):
         for j, (k, w) in enumerate(lst):
-            index[i, j], weight[i, j] = k, w
-    return index.reshape(*shape, width), weight.reshape(*shape, width)
+            index[j, i], weight[j, i] = k, w
+    return index.reshape(width, *shape), weight.reshape(width, *shape)
 
 
 def _chain(labels: Sequence[int], depth: int, loop: float | None):
@@ -261,22 +284,30 @@ def grad_check(
     variant: TopologyVariant = STANDARD,
     epsilon: float = 1e-5,
 ) -> float:
-    """Max relative error between analytic and central-difference gradients."""
+    """Max relative error between analytic and central-difference gradients.
+
+    The chain is packed once for 2C copies of the labels; each frame t runs
+    one batch of its C up- and C down-bumped logit grids.
+    """
     if not 0 < epsilon < np.inf:
         raise ValueError(f"epsilon must be a finite positive number, got {epsilon:g}")
     logits = np.asarray(logits, dtype=float)
     analytic = ctc_loss(labels, log_softmax(logits), variant).grad_logits
+    frames, classes = logits.shape
+    batch = pack([labels] * 2 * classes, variant, frames, classes)
+    keep = np.ones((2 * classes, frames), dtype=bool)
+    cols = np.arange(classes)
     worst = 0.0
-    for t in range(logits.shape[0]):
-        for k in range(logits.shape[1]):
-            bumped = logits.copy()
-            bumped[t, k] += epsilon
-            hi = ctc_loss(labels, log_softmax(bumped), variant).loss
-            bumped[t, k] -= 2 * epsilon
-            lo = ctc_loss(labels, log_softmax(bumped), variant).loss
-            numeric = (hi - lo) / (2 * epsilon)
-            err = abs(analytic[t, k] - numeric) / (abs(numeric) + 1e-8)
-            worst = max(worst, err)
+    for t in range(frames):
+        bumped = np.repeat(logits[None], 2 * classes, axis=0)
+        up, down = bumped[:classes], bumped[classes:]
+        up[cols, t, cols] += epsilon
+        down[cols, t, cols] = up[cols, t, cols] - 2 * epsilon
+        grids = log_softmax(bumped.reshape(-1, classes)).reshape(bumped.shape)
+        loss = -batch.total_and_occupancy(grids, keep)[0]
+        numeric = (loss[:classes] - loss[classes:]) / (2 * epsilon)
+        err = np.abs(analytic[t] - numeric) / (np.abs(numeric) + 1e-8)
+        worst = max(worst, float(err.max()))
     return worst
 
 

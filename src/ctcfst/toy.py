@@ -6,7 +6,9 @@ The trainer runs the batched forward-backward engine of :mod:`ctcfst.loss`
 (the one behind ``ctc_loss``) over the per-utterance CTC chains, packed once,
 one padded batch per step. A frame past an utterance's end and a frame
 skipped by ``skip_beta`` are the same case: both are left out of the
-engine's keep mask, so the grid goes in unchanged.
+engine's keep mask, so the grid goes in unchanged. The engine steps only
+through the most frames any utterance keeps, so skipped frames cost no
+recursion step and skipping makes a training step cheaper.
 
 Token runs are emitted with an onset/sustain amplitude envelope: the first
 frame of a run carries the full class mean, later frames a scaled-down copy.

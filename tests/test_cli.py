@@ -77,6 +77,13 @@ class TestUsageErrors:
             main(["align", "--labels", "A", "--frames", "2", "--variant", "soft"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("penalty", ["-0.5", "-1e-5", "-5E+2"])
+    def test_negative_lambda_exits_two(self, capsys, penalty):
+        with pytest.raises(SystemExit) as info:
+            main(["topo", "build", "--vocab", "2", "--variant", "soft", "--lambda", penalty])
+        assert info.value.code == 2
+        assert "soft penalty must be >= 0" in capsys.readouterr().err
+
     def test_negative_k_exits_two(self):
         with pytest.raises(SystemExit) as info:
             main(
@@ -127,6 +134,13 @@ class TestGradCheckCommand:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "epsilon" in err
+
+    @pytest.mark.parametrize("epsilon", ["-1e-5", "-.5e3", "-2"])
+    def test_negative_epsilon_after_a_space_is_a_value(self, capsys, uniform3, epsilon):
+        argv = ["grad-check", "--labels", "A", "--logits", uniform3, "--epsilon", epsilon]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "epsilon must be a finite positive number" in err
 
 
 class TestSkipCommand:

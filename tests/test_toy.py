@@ -228,6 +228,23 @@ class TestGraphBatchEngine:
             assert -total[n] == single.loss
             assert np.array_equal(occupancy[n, keep[n]], single.occupancy)
 
+    @pytest.mark.parametrize(
+        "variant", [STANDARD, soft(0.3), hard(1), hard(2), hard(50)], ids=str
+    )
+    @ENGINE_SETTINGS
+    @given(batch=masked_batches())
+    def test_rows_match_each_row_packed_alone(self, variant, batch):
+        # Alone, a row runs only its own kept frames: no other row's frame
+        # count, states or arcs may change a bit of its result.
+        labels_list, grids, masks = batch
+        engine, padded, keep = packed_batch(labels_list, grids, variant, masks)
+        total, occupancy = engine.total_and_occupancy(padded, keep)
+        for n, labels in enumerate(labels_list):
+            alone = pack([labels], variant, padded.shape[1], CLASSES)
+            one_total, one_occupancy = alone.total_and_occupancy(padded[n, None], keep[n, None])
+            assert total[n] == one_total[0]
+            assert np.array_equal(occupancy[n], one_occupancy[0])
+
     @ENGINE_SETTINGS
     @given(
         batch=masked_batches(feasible=False),
@@ -255,6 +272,55 @@ class TestGraphBatchEngine:
             assert np.array_equal(got, want)
         below, _, _ = packed_batch(labels_list, grids, hard(6))
         assert below.sym.shape == (3, 1 + 3 * (6 + 1))
+
+
+def masked_losses(batch, variant):
+    """Per-row loss of a ``masked_batches`` draw under ``variant``."""
+    labels_list, grids, masks = batch
+    engine, padded, keep = packed_batch(labels_list, grids, variant, masks)
+    return -engine.total_and_occupancy(padded, keep)[0]
+
+
+def no_less(high, low):
+    """``high >= low`` up to the rounding of two differently packed chains."""
+    return np.all(high >= low - 1e-12 * np.abs(low) - 1e-9)
+
+
+class TestInvariants:
+    """Properties every variant's result holds, over masked batches."""
+
+    @pytest.mark.parametrize("variant", [STANDARD, soft(0.3), hard(1), hard(2)], ids=str)
+    @ENGINE_SETTINGS
+    @given(batch=masked_batches())
+    def test_kept_occupancy_rows_sum_to_one_and_dropped_rows_are_zero(self, variant, batch):
+        labels_list, grids, masks = batch
+        engine, padded, keep = packed_batch(labels_list, grids, variant, masks)
+        _, occupancy = engine.total_and_occupancy(padded, keep)
+        assert np.abs(occupancy[keep].sum(axis=1) - 1.0).max() <= 1e-9
+        assert not occupancy[~keep].any()
+
+    @pytest.mark.parametrize("variant", [STANDARD, soft(0.3), hard(1), hard(2)], ids=str)
+    @ENGINE_SETTINGS
+    @given(batch=masked_batches())
+    def test_gradient_rows_sum_to_zero(self, variant, batch):
+        for labels, grid, mask in zip(*batch):
+            grad = ctc_loss(labels, grid[mask], variant).grad_logits
+            assert np.abs(grad.sum(axis=1)).max() <= 1e-9
+
+    @ENGINE_SETTINGS
+    @given(batch=masked_batches(), data=st.data())
+    def test_loss_does_not_decrease_as_the_soft_penalty_grows(self, batch, data):
+        penalties = data.draw(st.lists(st.floats(0.0, 700.0), min_size=2, max_size=2))
+        low, high = (masked_losses(batch, soft(p)) for p in sorted(penalties))
+        assert no_less(high, low)
+
+    @ENGINE_SETTINGS
+    @given(batch=masked_batches(), data=st.data())
+    def test_loss_does_not_increase_as_the_hard_bound_grows(self, batch, data):
+        t_max = max(len(g) for g in batch[1])
+        bounds = data.draw(st.lists(st.integers(1, t_max + 1), min_size=2, max_size=2))
+        tight, loose = (masked_losses(batch, hard(k)) for k in sorted(bounds))
+        assert no_less(tight, loose)
 
 
 class TestTrain:
