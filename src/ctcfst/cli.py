@@ -8,6 +8,7 @@ path and renamed into place, so failures never leave partial files behind.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -421,8 +422,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args leaves a parser as it found it, so in-process callers share one.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)

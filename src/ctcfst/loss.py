@@ -33,6 +33,8 @@ class GraphBatch:
     hard runs. Arrays are padded to the largest graph with arcless states and
     -inf arcs. Arcs are stored arc-major, one contiguous (B, S) slot per arc
     index, and their endpoints are flat indices into a (batch, states) array.
+    Each recursion step gathers all slots at once and log-adds them in one
+    max-shifted sum over the slot axis (:func:`_log_add_arcs`).
     """
 
     sym: np.ndarray  # (B, S) input symbol of every arc entering the state
@@ -66,19 +68,23 @@ class GraphBatch:
         emit = grids.reshape(batch * frames, -1)[at.T[:, :, None], self.sym]  # (F, B, S)
         alpha = np.full((steps + 1,) + self.sym.shape, -np.inf)
         alpha[0, :, 0] = 0.0
-        for t in range(steps):
-            _log_add_arcs(alpha[t].ravel(), self.in_src, self.in_w, alpha[t + 1])
-            alpha[t + 1] += emit[t]
-            np.copyto(alpha[t + 1], alpha[t], where=drop[t])
+        # The only NaN is a dead state's shifted slot, -inf - -inf, in
+        # _log_add_arcs; its clamp absorbs it.
+        with np.errstate(invalid="ignore"):
+            for t in range(steps):
+                _log_add_arcs(alpha[t].ravel(), self.in_src, self.in_w, alpha[t + 1])
+                alpha[t + 1] += emit[t]
+                np.copyto(alpha[t + 1], alpha[t], where=drop[t])
         total = np.logaddexp.reduce(alpha[steps] + self.fin, axis=1)
         # Checked before occupancy is formed, where -inf - -inf would be NaN.
         if (total == -np.inf).any():
             raise NoPathError("a graph in the batch has no path through its kept frames")
         beta = np.empty_like(alpha)
         beta[steps] = self.fin
-        for t in range(steps - 1, -1, -1):
-            _log_add_arcs((beta[t + 1] + emit[t]).ravel(), self.out_dst, self.out_w, beta[t])
-            np.copyto(beta[t], beta[t + 1], where=drop[t])
+        with np.errstate(invalid="ignore"):  # as in the forward loop
+            for t in range(steps - 1, -1, -1):
+                _log_add_arcs((beta[t + 1] + emit[t]).ravel(), self.out_dst, self.out_w, beta[t])
+                np.copyto(beta[t], beta[t + 1], where=drop[t])
         post = np.exp(alpha[1:] + beta[1:] - total[:, None])
         occupancy = np.zeros((batch * frames, self.onehot.shape[2]))
         occupancy[at] = np.where(
@@ -88,13 +94,24 @@ class GraphBatch:
 
 
 def _log_add_arcs(src, index, weight, out) -> None:
-    """Write ``log(sum_j exp(src[index[j]] + weight[j]))`` into ``out``, adding
-    the arc slots j left to right as ``np.logaddexp.reduce`` over them would."""
+    """Write ``log(sum_j exp(src[index[j]] + weight[j]))`` into ``out``.
+
+    The arc slots j are shifted by their max, so the largest term is
+    exp(0) = 1 and the sum is at least 1, and clamped at -50 nats before
+    ``np.exp``. A term of e^-50 (about 2^-72) cannot move a bit of a sum of
+    at least 1 unless there are 2^18 such terms, and the clamp keeps -inf
+    out of ``np.exp``, where it is slow. A state whose slots are all -inf
+    shifts to NaN, clamps to -50 and comes out exactly -inf. Callers silence
+    the "invalid" warning of that NaN.
+    """
     arcs = src.take(index)
     arcs += weight
-    np.copyto(out, arcs[0])
-    for slot in arcs[1:]:
-        np.logaddexp(out, slot, out=out)
+    top = arcs.max(axis=0)
+    arcs -= top
+    np.fmax(arcs, -50.0, out=arcs)
+    np.exp(arcs, out=arcs)
+    np.log(arcs.sum(axis=0), out=out)
+    out += top
 
 
 def _padded(arcs: list[list[tuple[int, float]]], shape) -> tuple[np.ndarray, np.ndarray]:

@@ -33,15 +33,24 @@ class SkipMask:
         return sum(self.skip) / len(self.skip)
 
 
-def classify_blank_frames(blank_probs: Sequence[float], beta: float) -> SkipMask:
-    """Mark frames whose blank probability strictly exceeds ``beta``."""
+def _check_threshold(beta: float) -> None:
     if not 0.0 < beta < 1.0:
         raise ValueError(f"threshold must lie in (0, 1), got {beta}")
+
+
+def _checked_probs(blank_probs: Sequence[float]) -> np.ndarray:
     probs = np.asarray(blank_probs, dtype=float)
     if probs.ndim != 1 or probs.size == 0:
         raise ValueError("blank_probs must be a non-empty 1-D sequence")
     if not ((probs >= 0.0) & (probs <= 1.0)).all():  # NaN fails both tests
         raise ValueError("blank probabilities must lie in [0, 1]")
+    return probs
+
+
+def classify_blank_frames(blank_probs: Sequence[float], beta: float) -> SkipMask:
+    """Mark frames whose blank probability strictly exceeds ``beta``."""
+    _check_threshold(beta)
+    probs = _checked_probs(blank_probs)
     return SkipMask(skip=tuple(bool(p > beta) for p in probs), threshold=beta)
 
 
@@ -87,10 +96,10 @@ def sweep_thresholds(
         raise ValueError("one label count per utterance required")
     total_frames = sum(len(p) for p in blank_prob_sets)
     corpus_gamma = gamma_max(sum(label_counts), total_frames)
-    rows = []
     for beta in betas:
-        skipped = sum(
-            sum(classify_blank_frames(probs, beta).skip) for probs in blank_prob_sets
-        )
-        rows.append(SweepPoint(beta, skipped / total_frames, corpus_gamma))
-    return rows
+        _check_threshold(beta)
+    probs = np.concatenate([_checked_probs(p) for p in blank_prob_sets])
+    return [
+        SweepPoint(beta, int(np.count_nonzero(probs > beta)) / total_frames, corpus_gamma)
+        for beta in betas
+    ]

@@ -217,10 +217,14 @@ def train(
     warmup_steps = int(round(warmup_fraction * steps))
     losses: list[float] = []
 
+    flat = feats.reshape(-1, dim)
     for step in range(steps):
-        logits = feats @ weights + bias
-        shifted = logits - logits.max(axis=2, keepdims=True)
-        logp = shifted - np.log(np.exp(shifted).sum(axis=2, keepdims=True))
+        # Class-major (C, B*T): the softmax reduces over the long axis, then
+        # one transpose gives the (B, T, C) grid the engine reads.
+        logits = weights.T @ flat.T + bias[:, None]
+        logits -= logits.max(axis=0)
+        logits -= np.log(np.exp(logits).sum(axis=0))
+        logp = logits.T.reshape(batch, t_max, classes)
         probs = np.exp(logp)
 
         keep = real
@@ -239,9 +243,7 @@ def train(
         # Divergence surfaces as non-finite parameters, raised below; keep the
         # overflow itself quiet.
         with np.errstate(over="ignore", invalid="ignore"):
-            weights = weights - step_size * (
-                np.einsum("ntd,ntc->dc", feats, grad_logits) / batch
-            )
+            weights = weights - step_size * (flat.T @ grad_logits.reshape(-1, classes) / batch)
             bias = bias - step_size * (grad_logits.sum(axis=(0, 1)) / batch)
         if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
             raise TrainingDivergedError(step)

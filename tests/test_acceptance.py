@@ -3,7 +3,8 @@
 Every test finishes by printing a single pass line (run with ``-s`` or
 ``-rA`` to see them); a failure shows up as the usual pytest assertion.
 The two training fixtures are the expensive parts: five 2000-step runs on
-the reference synthetic config and three on its noiseless twin.
+the reference synthetic config and three on its noiseless twin. The tests
+that use them are marked ``slow``; ``pytest -m "not slow"`` leaves them out.
 """
 
 import itertools
@@ -153,6 +154,7 @@ def test_criterion_05_gamma_max_formula():
     report_pass(5, "gamma_max(5, 20) == 0.75 exactly; 0.7861 kept as reference")
 
 
+@pytest.mark.slow
 def test_criterion_06_ratio_ordering_at_desk_scale(reference_experiment):
     reports = reference_experiment
     ratio = {name: r.ratio_at(0.9) for name, r in reports.items()}
@@ -165,6 +167,7 @@ def test_criterion_06_ratio_ordering_at_desk_scale(reference_experiment):
     report_pass(6, f"ratio ordering holds ({summary}; gamma_max={corpus_gamma:.3f})")
 
 
+@pytest.mark.slow
 def test_criterion_07_sweep_monotonicity(reference_experiment):
     for name, report in reference_experiment.items():
         betas = [p.beta for p in report.sweep]
@@ -174,6 +177,7 @@ def test_criterion_07_sweep_monotonicity(reference_experiment):
     report_pass(7, "every (threshold, ratio) curve is non-increasing")
 
 
+@pytest.mark.slow
 def test_criterion_08_quality_preservation(noiseless_experiment):
     reports = noiseless_experiment
     assert reports["standard"].token_error_rate == 0.0

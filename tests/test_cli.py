@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from ctcfst import fst_from_text, toy
+from ctcfst import cli, fst_from_text, toy
 from ctcfst.cli import main
 from ctcfst.loss import format_matrix
 
@@ -90,6 +90,33 @@ class TestUsageErrors:
                 ["align", "--labels", "A", "--frames", "2", "--variant", "hard", "--k", "0"]
             )
         assert info.value.code == 2
+
+
+class TestParserReuse:
+    def test_calls_print_what_a_fresh_parser_prints(self, capsys, uniform3):
+        calls = [
+            ["align", "--labels", "A,B", "--frames", "3"],
+            ["loss", "--labels", "A,B", "--grid", uniform3, "--variant", "soft"],
+            ["loss", "--labels", "A,B", "--grid", uniform3, "--variant", "hard", "--k", "2"],
+            ["grad-check", "--labels", "A", "--logits", uniform3, "--epsilon", "-1e-5"],
+            ["loss", "--labels", "A,B", "--grid", uniform3, "--grad"],
+        ]
+
+        def run(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr()
+            return code, out.out, out.err
+
+        reused = [run(argv) for argv in calls]
+        fresh = []
+        for argv in calls:
+            cli._parser.cache_clear()
+            fresh.append(run(argv))
+        assert [code for code, _, _ in reused] == [0, 2, 0, 1, 0]
+        assert reused == fresh
 
 
 class TestTopo:

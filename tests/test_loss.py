@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_grid, uniform_grid
 from ctcfst import (
@@ -16,8 +19,10 @@ from ctcfst import (
     hard,
     log_softmax,
     parse_matrix,
+    min_alignment_length,
     soft,
 )
+from ctcfst.loss import _log_add_arcs, pack
 
 ALL_VARIANTS = (STANDARD, soft(0.05), soft(5.0), hard(1), hard(2))
 
@@ -223,3 +228,141 @@ class TestMatrixFormat:
     def test_row_width_checked(self):
         with pytest.raises(ValueError, match="values"):
             parse_matrix("1 3\n0 0\n")
+
+
+ORACLE_SETTINGS = settings(max_examples=50, deadline=None, derandomize=True, database=None)
+# Brute force walks (distinct symbols + 1) ** frames candidates: cap them.
+ENUM_BUDGET = 20_000
+
+
+@st.composite
+def oracle_cases(draw, max_frames=12, budget=None):
+    """(labels, grid): up to 4 labels over 4 symbols, repeats included,
+    a log-softmax grid of logits at scale 1, 30 or 700 and a frame count from
+    the shortest alignment to ``max_frames`` (or to ``budget`` candidates)."""
+    labels = draw(st.lists(st.integers(1, 4), max_size=4))
+    shortest = min_alignment_length(labels)
+    top, width = max_frames, len(set(labels)) + 1
+    while budget is not None and width**top > budget:
+        top -= 1
+    frames = draw(st.integers(max(1, shortest), max(1, shortest, top)))
+    scale = draw(st.sampled_from([1.0, 30.0, 700.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return labels, log_softmax(rng.uniform(-scale, scale, (frames, 5)))
+
+
+class TestOracles:
+    """``ctc_loss`` against the independent oracles, at logit scales up to 700."""
+
+    @ORACLE_SETTINGS
+    @given(case=oracle_cases(max_frames=20))
+    def test_standard_matches_alpha_recursion(self, case):
+        labels, grid = case
+        assert ctc_loss(labels, grid).loss == pytest.approx(
+            ctc_loss_alpha(labels, grid), rel=1e-12, abs=1e-9
+        )
+
+    @pytest.mark.parametrize("kind", ["standard", "soft", "hard"])
+    @ORACLE_SETTINGS
+    @given(case=oracle_cases(budget=ENUM_BUDGET), data=st.data())
+    def test_matches_brute_force(self, kind, case, data):
+        labels, grid = case
+        strategy = {
+            "standard": st.just(STANDARD),
+            "soft": st.floats(0.0, 700.0).map(soft),
+            "hard": st.integers(1, len(grid) + 1).map(hard),
+        }[kind]
+        variant = data.draw(strategy)
+        assert ctc_loss(labels, grid, variant).loss == pytest.approx(
+            brute_force_loss(labels, grid, variant), rel=1e-12, abs=1e-9
+        )
+
+    @ORACLE_SETTINGS
+    @given(case=oracle_cases(), data=st.data())
+    def test_soft_zero_and_hard_bound_at_least_the_frames_equal_standard(self, case, data):
+        labels, grid = case
+        standard = ctc_loss(labels, grid)
+        bound = data.draw(st.integers(len(grid), len(grid) + 3))
+        for variant in (soft(0.0), hard(bound)):
+            result = ctc_loss(labels, grid, variant)
+            assert result.loss == standard.loss
+            assert np.array_equal(result.grad_logits, standard.grad_logits)
+
+    @ORACLE_SETTINGS
+    @given(
+        labels=st.lists(st.integers(1, 4), max_size=5),
+        frames=st.integers(1, 12),
+        variant=st.sampled_from([STANDARD, soft(700.0), hard(1), hard(2)]),
+    )
+    def test_infeasible_iff_fewer_frames_than_the_shortest_alignment(
+        self, labels, frames, variant
+    ):
+        grid = uniform_grid(frames, 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if frames < min_alignment_length(labels):
+                with pytest.raises(InfeasibleAlignmentError):
+                    ctc_loss(labels, grid, variant)
+            else:
+                assert np.isfinite(ctc_loss(labels, grid, variant).loss)
+
+
+def log_add_slots(slots, weights=None):
+    """``_log_add_arcs`` over the first axis of ``slots``, as the engine
+    calls it: under ``errstate(invalid="ignore")``."""
+    slots = np.asarray(slots, dtype=float)
+    out = np.empty(slots.shape[1:])
+    index = np.arange(slots.size).reshape(slots.shape)
+    weights = np.zeros(slots.shape) if weights is None else weights
+    with np.errstate(invalid="ignore"):
+        _log_add_arcs(slots.ravel(), index, weights, out)
+    return out
+
+
+class TestLogAddArcs:
+    """The engine's log-add against ``np.logaddexp.reduce`` over the slots."""
+
+    def test_all_slots_minus_inf_give_exactly_minus_inf(self):
+        for count in (1, 2, 5):
+            out = log_add_slots(np.full((count, 3), -np.inf))
+            assert not np.isnan(out).any()
+            assert (out == -np.inf).all()
+
+    def test_padding_slots_leave_a_dead_state_dead(self):
+        # A padded slot reads state 0 through a -inf weight.
+        slots = np.array([[-np.inf, 0.0], [5.0, 7.0]])
+        weights = np.array([[0.0, -np.inf], [-np.inf, -np.inf]])
+        assert (log_add_slots(slots, weights) == -np.inf).all()
+
+    @pytest.mark.parametrize("value", [-1e4, -700.0, -1.5, 0.0, 2.25, 700.0, 1e4])
+    @pytest.mark.parametrize("count", [1, 2, 4])
+    def test_single_finite_slot_gives_its_value_exactly(self, value, count):
+        slots = np.full((count, 2), -np.inf)
+        slots[count - 1, 0] = value
+        slots[0, 1] = value
+        assert np.array_equal(log_add_slots(slots), [value, value])
+
+    @pytest.mark.parametrize("magnitude", [-1e4, -700.0, -30.0, 0.0, 30.0, 700.0, 1e4])
+    @pytest.mark.parametrize("gap", [0.0, 30.0, 50.0, 700.0])
+    def test_agrees_with_logaddexp_within_four_ulp(self, magnitude, gap):
+        rng = np.random.default_rng(int(abs(magnitude) + gap))
+        jitter = rng.uniform(-1.0, 1.0, (4, 64))
+        slots = magnitude + jitter
+        slots[1] -= gap
+        slots[2] -= rng.uniform(0.0, 2.0 * gap, 64)
+        slots[3, ::3] = -np.inf
+        largest = slots.max(axis=0)
+        tolerance = 4 * np.spacing(np.maximum(np.abs(largest), 1.0))
+        for count in (1, 2, 3, 4):
+            got = log_add_slots(slots[:count])
+            want = np.logaddexp.reduce(slots[:count], axis=0)
+            assert (np.abs(got - want) <= tolerance).all()
+
+    def test_empty_label_sequences_pack_one_slot(self):
+        batch = pack([[], []], STANDARD, 3, 3)
+        assert batch.in_src.shape[0] == batch.out_dst.shape[0] == 1
+        grids = np.log(np.full((2, 3, 3), 1 / 3))
+        total, occupancy = batch.total_and_occupancy(grids, np.ones((2, 3), bool))
+        assert total == pytest.approx(3 * math.log(1 / 3), abs=1e-12)
+        assert np.array_equal(occupancy[:, :, 0], np.ones((2, 3)))
+

@@ -132,3 +132,27 @@ class TestSweepThresholds:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             sweep_thresholds([], [], betas=[0.9])
+
+    def test_rows_match_per_utterance_skip_masks(self):
+        rng = np.random.default_rng(4)
+        betas = (0.5, *SWEEP_BETAS)
+        prob_sets = [rng.uniform(0, 1, size=rng.integers(1, 30)) for _ in range(40)]
+        prob_sets += [np.array(betas), np.array([0.0, 1.0])]  # ties and bounds
+        counts = [1] * len(prob_sets)
+        frames = sum(len(p) for p in prob_sets)
+        want = [
+            sum(sum(classify_blank_frames(p, beta).skip) for p in prob_sets) / frames
+            for beta in betas
+        ]
+        rows = sweep_thresholds(prob_sets, counts, betas)
+        assert [row.ratio for row in rows] == want
+
+    @pytest.mark.parametrize(
+        "probs, message",
+        [([0.5, np.nan], r"\[0, 1\]"), ([1.5], r"\[0, 1\]"), ([], "non-empty")],
+    )
+    def test_each_utterance_checked_as_classify_does(self, probs, message):
+        with pytest.raises(ValueError, match=message):
+            classify_blank_frames(probs, 0.9)
+        with pytest.raises(ValueError, match=message):
+            sweep_thresholds([[0.2, 0.3], probs], [1, 1], betas=[0.9])
