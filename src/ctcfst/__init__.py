@@ -48,7 +48,6 @@ from .loss import (
 from .skip import (
     REFERENCE_CORPUS_GAMMA_MAX,
     SWEEP_BETAS,
-    SkipMask,
     SweepPoint,
     apply_skip,
     classify_blank_frames,
@@ -58,6 +57,7 @@ from .skip import (
 from .topology import (
     STANDARD,
     TopologyVariant,
+    build_chain,
     build_linear_graph,
     build_topology,
     build_training_graph,

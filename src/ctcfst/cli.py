@@ -26,8 +26,8 @@ from .skip import SWEEP_BETAS, sweep_thresholds
 from .topology import (
     STANDARD,
     TopologyVariant,
+    build_chain,
     build_topology,
-    build_training_graph,
     enumerate_alignments,
     hard,
     soft,
@@ -210,7 +210,7 @@ def cmd_topo(args, parser) -> int:
     variant = _variant_from(args, parser)
     if args.labels is not None:
         labels, _ = _parse_labels(args.labels)
-        fst = build_training_graph(labels, args.vocab, variant)
+        fst = build_chain(labels, args.vocab, variant)
     else:
         fst = build_topology(args.vocab, variant)
     _emit(fst_to_text(fst), args.out)

@@ -21,7 +21,6 @@ BLANK = 0
 TERMINAL = -1
 
 LOG_ZERO = float("-inf")
-LOG_ONE = 0.0
 
 
 def log_add(a: float, b: float) -> float:

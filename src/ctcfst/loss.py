@@ -19,8 +19,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InfeasibleAlignmentError, NoPathError
-from .fsa import BLANK
-from .topology import STANDARD, TopologyVariant, collapse_ctc, enumerate_alignments
+from .topology import (
+    STANDARD, TopologyVariant, _chain, _validate_labels, collapse_ctc, enumerate_alignments
+)
 
 
 @dataclass(frozen=True)
@@ -124,40 +125,19 @@ def _padded(arcs: list[list[tuple[int, float]]], shape) -> tuple[np.ndarray, np.
     return index.reshape(width, *shape), weight.reshape(width, *shape)
 
 
-def _chain(labels: Sequence[int], depth: int, loop: float | None):
-    """One chain's arcs ``(src, dst, weight)``, sorted so that each state's
-    arcs enter and leave in state order; its state symbols; its final states."""
-    arcs, syms = [(0, 0, 0.0)], [BLANK]
-    blank, run = 0, []
-    for tok, prev in zip(labels, [None, *labels]):
-        # A repeated label must pass through the blank between the two runs.
-        sources = [blank] + (run if tok != prev else [])
-        run = list(range(blank + 1, blank + 1 + depth))
-        blank = run[-1] + 1
-        arcs += [(src, run[0], 0.0) for src in sources]
-        arcs += [(a, b, 0.0) for a, b in zip(run, run[1:])]
-        if loop is not None:
-            arcs.append((run[-1], run[-1], loop))  # the non-blank self-loop
-        arcs += [(s, blank, 0.0) for s in run] + [(blank, blank, 0.0)]
-        syms += [tok] * depth + [BLANK]
-    return sorted(arcs), syms, run + [blank]
-
-
 def pack(
     label_seqs: Sequence[Sequence[int]], variant: TopologyVariant, num_frames: int, num_classes: int
 ) -> GraphBatch:
     """Pack the CTC chains of ``label_seqs`` for (num_frames, num_classes) grids.
 
-    A chain is blank state 0, then per label a run and a blank state. A hard
-    run is ``max_run`` states in a row; a standard or soft run is one state
-    with a self-loop weighted ``-penalty`` (0 for standard). A hard bound
-    ``>= num_frames`` packs the standard chain: no run can be longer. The
-    tests hold the chains to :func:`build_training_graph`. Raises
-    ``ValueError`` for a label outside 1..``num_classes - 1``.
+    The chains are those of :func:`ctcfst.topology.build_chain`, without its
+    added final state, except that a hard bound ``>= num_frames`` packs the
+    standard chain: no run can be longer. The tests hold the chains to
+    :func:`build_training_graph`. Raises ``ValueError`` for a label outside
+    1..``num_classes - 1``.
     """
-    for tok in (tok for labels in label_seqs for tok in labels):
-        if not 1 <= tok < num_classes:
-            raise ValueError(f"label {tok} outside vocabulary range 1..{num_classes - 1}")
+    for labels in label_seqs:
+        _validate_labels(labels, num_classes - 1)
     bounded = variant.kind == "hard" and variant.max_run < num_frames
     depth = variant.max_run if bounded else 1
     loop = None if bounded else (-variant.penalty if variant.kind == "soft" else 0.0)

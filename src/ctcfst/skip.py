@@ -8,7 +8,6 @@ the output token count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, NamedTuple, Sequence
 
 import numpy as np
@@ -19,18 +18,6 @@ import numpy as np
 REFERENCE_CORPUS_GAMMA_MAX = 0.7861
 
 SWEEP_BETAS = (0.8, 0.85, 0.9, 0.95, 0.99, 0.999)
-
-
-@dataclass(frozen=True)
-class SkipMask:
-    """Per-frame skip decisions at one threshold (True = discard)."""
-
-    skip: tuple[bool, ...]
-    threshold: float
-
-    @property
-    def reduction_ratio(self) -> float:
-        return sum(self.skip) / len(self.skip)
 
 
 def _check_threshold(beta: float) -> None:
@@ -47,20 +34,17 @@ def _checked_probs(blank_probs: Sequence[float]) -> np.ndarray:
     return probs
 
 
-def classify_blank_frames(blank_probs: Sequence[float], beta: float) -> SkipMask:
-    """Mark frames whose blank probability strictly exceeds ``beta``."""
+def classify_blank_frames(blank_probs: Sequence[float], beta: float) -> np.ndarray:
+    """(T,) bool mask of the frames whose blank probability strictly exceeds ``beta``."""
     _check_threshold(beta)
-    probs = _checked_probs(blank_probs)
-    return SkipMask(skip=tuple(bool(p > beta) for p in probs), threshold=beta)
+    return _checked_probs(blank_probs) > beta
 
 
-def apply_skip(frames: Sequence[Any], mask: SkipMask) -> list[tuple[int, Any]]:
+def apply_skip(frames: Sequence[Any], mask: np.ndarray) -> list[tuple[int, Any]]:
     """Drop masked frames, returning (original index, frame) pairs in order."""
-    if len(frames) != len(mask.skip):
-        raise ValueError(
-            f"length mismatch: {len(frames)} frames vs {len(mask.skip)} mask entries"
-        )
-    return [(i, frame) for i, frame in enumerate(frames) if not mask.skip[i]]
+    if len(frames) != len(mask):
+        raise ValueError(f"length mismatch: {len(frames)} frames vs {len(mask)} mask entries")
+    return [(i, frame) for i, frame in enumerate(frames) if not mask[i]]
 
 
 def gamma_max(token_count: int, frame_count: int) -> float:

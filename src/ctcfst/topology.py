@@ -12,9 +12,10 @@ Three topology variants are supported:
   deep, so at most ``max_run`` consecutive identical non-blank symbols are
   accepted (counting the first one); longer runs are pruned structurally.
 
-Composing a topology with the linear graph of a transcript yields the
-training graph whose paths, at a fixed frame count, are exactly the valid
-alignments of that transcript.
+A transcript's training graph, whose paths at a fixed frame count are its
+valid alignments, is its CTC chain (:func:`build_chain`, which ``topo build
+--labels`` emits and the loss engine packs). Composing the topology with the
+linear graph (:func:`build_training_graph`) is the tests' reference for it.
 """
 
 from __future__ import annotations
@@ -132,6 +133,50 @@ def build_training_graph(
     return connect(compose(topo, linear))
 
 
+def _chain(labels: Sequence[int], depth: int, loop: float | None):
+    """One chain's arcs ``(src, dst, weight)``, sorted so that each state's
+    arcs enter and leave in state order; its state symbols; its final states."""
+    arcs, syms = [(0, 0, 0.0)], [BLANK]
+    blank, run = 0, []
+    for tok, prev in zip(labels, [None, *labels]):
+        # A repeated label must pass through the blank between the two runs.
+        sources = [blank] + (run if tok != prev else [])
+        run = list(range(blank + 1, blank + 1 + depth))
+        blank = run[-1] + 1
+        arcs += [(src, run[0], 0.0) for src in sources]
+        arcs += [(a, b, 0.0) for a, b in zip(run, run[1:])]
+        if loop is not None:
+            arcs.append((run[-1], run[-1], loop))  # the non-blank self-loop
+        arcs += [(s, blank, 0.0) for s in run] + [(blank, blank, 0.0)]
+        syms += [tok] * depth + [BLANK]
+    return sorted(arcs), syms, run + [blank]
+
+
+def build_chain(labels: Sequence[int], vocab_size: int, variant: TopologyVariant = STANDARD) -> Fst:
+    """Training graph for one utterance: blank state 0, then per label a run
+    and a blank state, then a final state entered by ``TERMINAL`` arcs. A
+    hard run is ``max_run`` states in a row, a standard or soft run one state
+    with a self-loop weighted ``-penalty`` (0 for standard). This is
+    :func:`build_training_graph` numbered in chain order, which for
+    standard, soft and hard(k <= 2) is the composed graph's own numbering."""
+    if vocab_size < 1:
+        raise ValueError("vocab_size must be >= 1")
+    _validate_labels(labels, vocab_size)
+    bounded = variant.kind == "hard"
+    loop = None if bounded else (-variant.penalty if variant.kind == "soft" else 0.0)
+    arcs, syms, finals = _chain(labels, variant.max_run if bounded else 1, loop)
+    fst = Fst()
+    for _ in range(len(syms) + 1):
+        fst.add_state()
+    fst.start, fst.final = 0, len(syms)
+    for src, dst, weight in arcs:
+        # A label is output on entering its run from outside; BLANK is EPSILON.
+        fst.add_arc(src, dst, syms[dst], syms[dst] if syms[src] != syms[dst] else EPSILON, weight)
+    for state in finals:
+        fst.add_arc(state, fst.final, TERMINAL, EPSILON)
+    return fst
+
+
 def collapse_ctc(alignment: Iterable[int]) -> list[int]:
     """CTC collapse: merge adjacent duplicates, then delete blanks."""
     return [k for k, _ in itertools.groupby(alignment) if k != BLANK]
@@ -156,6 +201,8 @@ def enumerate_alignments(
     test oracle, not a production path.
     """
     _validate_labels(labels, None)
+    if frames < 0:
+        raise ValueError(f"frames must be >= 0, got {frames}")
     symbols = sorted(set(labels))
     if frames > MAX_ENUM_FRAMES or len(symbols) > MAX_ENUM_SYMBOLS:
         raise ValueError(

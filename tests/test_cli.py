@@ -1,11 +1,16 @@
+import inspect
 import json
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
 
-from ctcfst import cli, fst_from_text, toy
+import ctcfst
+from ctcfst import (
+    STANDARD, build_training_graph, cli, fst_from_text, fst_to_text, hard, lattice, soft, toy
+)
 from ctcfst.cli import main
 from ctcfst.loss import format_matrix
 
@@ -33,6 +38,11 @@ class TestAlign:
         )
         assert code == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 3
+
+    def test_negative_frames_exits_one(self, capsys):
+        assert main(["align", "--labels", "A", "--frames", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: frames must be >= 0, got -1\n"
 
 
 class TestLoss:
@@ -145,6 +155,37 @@ class TestTopo:
         text = capsys.readouterr().out
         fst = fst_from_text(text)
         assert fst.num_states == 4
+
+    @pytest.mark.parametrize(
+        "flags, variant",
+        [([], STANDARD), (["--variant", "soft", "--lambda", "0.04"], soft(0.04)),
+         (["--variant", "hard", "--k", "2"], hard(2))],
+        ids=["standard", "soft", "hard"],
+    )
+    def test_labels_print_the_composed_graph(self, capsys, flags, variant):
+        assert main(["topo", "build", "--vocab", "3", "--labels", "A,B,B,C", *flags]) == 0
+        want = fst_to_text(build_training_graph([1, 2, 2, 3], 3, variant))
+        assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize(
+        "flags, err",
+        [
+            (["--vocab", "0"], "error: vocab_size must be >= 1\n"),
+            (["--vocab", "0", "--labels", "A"], "error: vocab_size must be >= 1\n"),
+            (["--vocab", "2", "--labels", "1,3"], "error: label 3 outside vocabulary range 1..2\n"),
+            (["--vocab", "2", "--labels", "0"], "error: label 0 outside vocabulary range 1..2\n"),
+        ],
+    )
+    def test_bad_graph_exits_one(self, capsys, flags, err):
+        assert main(["topo", "build", *flags]) == 1
+        assert capsys.readouterr() == ("", err)
+
+    def test_bad_bound_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["topo", "build", "--vocab", "2", "--variant", "hard", "--k", "0"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith("\nctcfst: error: hard repeat bound must be >= 1\n")
 
 
 class TestGradCheckCommand:
@@ -372,3 +413,57 @@ class TestExperimentCommands:
         assert code == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "skip_beta must lie in (0, 1)" in err
+
+
+# The generic FST code and the engine-independent loss oracles: no CLI path
+# may reach them, so they stay references the product code does not share.
+ORACLES = (
+    "compose", "connect", "_trim", "build_linear_graph", "build_training_graph",
+    "log_add", "log_sum", "fst_from_text", "ctc_loss_alpha", "brute_force_loss",
+    *(name for name, fn in inspect.getmembers(lattice, inspect.isfunction)
+      if fn.__module__ == lattice.__name__ and not name.startswith("_")),
+)
+
+
+class TestOracleFence:
+    @pytest.fixture
+    def fenced(self, monkeypatch):
+        """Make every oracle raise, in every ctcfst module that binds it."""
+
+        def fence(name):
+            def refuse(*args, **kwargs):
+                raise AssertionError(f"product code called the oracle {name}")
+            return refuse
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name == "ctcfst" or module_name.startswith("ctcfst."):
+                for name in ORACLES:
+                    if hasattr(module, name):
+                        monkeypatch.setattr(module, name, fence(name))
+
+    @pytest.mark.parametrize("labels", [None, "A,B,B"])
+    @pytest.mark.parametrize(
+        "flags", [[], ["--variant", "soft", "--lambda", "0.5"], ["--variant", "hard", "--k", "2"]],
+        ids=["standard", "soft", "hard"],
+    )
+    def test_topo_build(self, fenced, capsys, flags, labels):
+        argv = ["topo", "build", "--vocab", "3", *flags]
+        assert main(argv + (["--labels", labels] if labels else [])) == 0
+
+    def test_scoring_and_analysis_commands(self, fenced, capsys, uniform3):
+        assert main(["loss", "--labels", "A,B", "--grid", uniform3, "--grad"]) == 0
+        assert main(["grad-check", "--labels", "A,B", "--logits", uniform3]) == 0
+        assert main(["align", "--labels", "A,B", "--frames", "3", "--variant", "hard",
+                     "--k", "2"]) == 0
+        assert main(["skip", "analyze", "--probs", uniform3, "--tokens", "2"]) == 0
+
+    def test_experiment_commands(self, fenced, tmp_path):
+        tiny = ["--steps", "2", "--train-utterances", "3", "--eval-utterances", "2"]
+        assert main(["train-toy", *tiny, "--out", str(tmp_path / "one")]) == 0
+        assert main(["compare", *tiny, "--out", str(tmp_path / "many")]) == 0
+
+    def test_the_fence_holds(self, fenced):
+        assert {"intersect_dense", "total_score", "iterate_paths"} <= set(ORACLES)
+        for oracle in (ctcfst.build_training_graph, ctcfst.topology.compose, lattice.total_score):
+            with pytest.raises(AssertionError, match="product code called the oracle"):
+                oracle()

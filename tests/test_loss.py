@@ -358,6 +358,24 @@ class TestLogAddArcs:
             want = np.logaddexp.reduce(slots[:count], axis=0)
             assert (np.abs(got - want) <= tolerance).all()
 
+    def test_slots_are_summed_left_to_right_bit_for_bit(self):
+        # The sum order decides the last bits of every total and occupancy,
+        # so seeded runs stay byte-identical only while it holds.
+        slots = np.random.default_rng(12).uniform(-40.0, 0.0, (3, 4096))
+
+        def accumulated(terms):
+            acc = terms[0].copy()
+            for term in terms[1:]:
+                acc += term
+            return acc
+
+        top = slots.max(axis=0)
+        terms = np.exp(np.fmax(slots - top, -50.0))
+        forward = np.log(accumulated(terms)) + top
+        reversed_ = np.log(accumulated(terms[::-1])) + top
+        assert np.array_equal(log_add_slots(slots), forward)
+        assert not np.array_equal(forward, reversed_)
+
     def test_empty_label_sequences_pack_one_slot(self):
         batch = pack([[], []], STANDARD, 3, 3)
         assert batch.in_src.shape[0] == batch.out_dst.shape[0] == 1

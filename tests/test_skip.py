@@ -14,16 +14,17 @@ from ctcfst import (
 class TestClassifyBlankFrames:
     def test_direct_comparison(self):
         mask = classify_blank_frames([0.99, 0.2, 0.95, 0.5], 0.9)
-        assert mask.skip == (True, False, True, False)
-        assert mask.reduction_ratio == 0.5
+        assert mask.dtype == bool and mask.shape == (4,)
+        assert mask.tolist() == [True, False, True, False]
+        assert mask.mean() == 0.5
 
     def test_no_blanks(self):
         mask = classify_blank_frames([0.0, 0.0, 0.0], 0.5)
-        assert mask.reduction_ratio == 0.0
+        assert mask.mean() == 0.0
 
     def test_strict_inequality_at_boundary(self):
         mask = classify_blank_frames([0.9990001, 0.999], 0.999)
-        assert mask.skip == (True, False)
+        assert mask.tolist() == [True, False]
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -43,8 +44,8 @@ class TestClassifyBlankFrames:
             probs = rng.uniform(0, 1, size=20)
             lo = classify_blank_frames(probs, 0.3)
             hi = classify_blank_frames(probs, 0.7)
-            assert set(np.flatnonzero(hi.skip)) <= set(np.flatnonzero(lo.skip))
-            assert hi.reduction_ratio <= lo.reduction_ratio
+            assert set(np.flatnonzero(hi)) <= set(np.flatnonzero(lo))
+            assert hi.mean() <= lo.mean()
 
 
 class TestApplySkip:
@@ -111,7 +112,7 @@ class TestSweepThresholds:
         probs = [0.99, 0.2, 0.95, 0.5]
         rows = sweep_thresholds([probs], [2], betas=[0.9])
         (row,) = rows
-        assert row.ratio == classify_blank_frames(probs, 0.9).reduction_ratio
+        assert row.ratio == classify_blank_frames(probs, 0.9).mean()
         assert row.gamma_max == 0.5
 
     def test_ratio_non_increasing_in_beta(self):
@@ -141,7 +142,7 @@ class TestSweepThresholds:
         counts = [1] * len(prob_sets)
         frames = sum(len(p) for p in prob_sets)
         want = [
-            sum(sum(classify_blank_frames(p, beta).skip) for p in prob_sets) / frames
+            sum(int(classify_blank_frames(p, beta).sum()) for p in prob_sets) / frames
             for beta in betas
         ]
         rows = sweep_thresholds(prob_sets, counts, betas)

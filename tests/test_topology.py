@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,11 +8,13 @@ from conftest import random_grid, uniform_grid
 from ctcfst import (
     STANDARD,
     TopologyVariant,
+    build_chain,
     build_linear_graph,
     build_topology,
     build_training_graph,
     collapse_ctc,
     enumerate_alignments,
+    fst_to_text,
     hard,
     intersect_dense,
     iterate_paths,
@@ -165,6 +168,51 @@ class TestTrainingGraph:
         for labels in ([1], [1, 2], [2, 1, 2], [1, 1]):
             for pi in enumerate_alignments(labels, 5):
                 assert collapse_ctc(pi) == labels
+
+
+def label_sequences(vocab, max_length=3):
+    return [
+        list(seq)
+        for length in range(max_length + 1)
+        for seq in itertools.product(range(1, vocab + 1), repeat=length)
+    ]
+
+
+class TestBuildChain:
+    """The chain against the composed graph it replaced in ``topo build``."""
+
+    @pytest.mark.parametrize("vocab", [2, 3, 7])
+    @pytest.mark.parametrize(
+        "variant", [STANDARD, soft(0.0), soft(0.04), soft(5.0), hard(1), hard(2)], ids=str
+    )
+    def test_prints_the_composed_graph_byte_for_byte(self, vocab, variant):
+        for labels in label_sequences(vocab):
+            got = fst_to_text(build_chain(labels, vocab, variant))
+            assert got == fst_to_text(build_training_graph(labels, vocab, variant)), labels
+
+    @pytest.mark.parametrize("vocab", [2, 3])
+    @pytest.mark.parametrize("max_run", [3, 4])
+    def test_deep_hard_runs_renumber_the_composed_graph(self, vocab, max_run):
+        # Composition numbers a run of three or more states out of chain order.
+        rng = np.random.default_rng(vocab * 10 + max_run)
+        for labels in label_sequences(vocab):
+            chain = build_chain(labels, vocab, hard(max_run))
+            composed = build_training_graph(labels, vocab, hard(max_run))
+            assert chain.num_states == composed.num_states
+            assert Counter(a[2:] for a in chain.arcs()) == Counter(a[2:] for a in composed.arcs())
+            for frames in range(1, 8):
+                grid = random_grid(rng, frames, vocab + 1)
+                got = dict(iterate_paths(intersect_dense(chain, grid)))
+                want = dict(iterate_paths(intersect_dense(composed, grid)))
+                assert got.keys() == want.keys(), (labels, frames)
+                for path, score in got.items():
+                    assert score == pytest.approx(want[path], abs=1e-12)
+
+    def test_rejects_what_composition_rejects(self):
+        with pytest.raises(ValueError, match="vocab_size must be >= 1"):
+            build_chain([1], 0)
+        with pytest.raises(ValueError, match=r"label 3 outside vocabulary range 1\.\.2"):
+            build_chain([1, 3], 2)
 
 
 class TestCollapse:
