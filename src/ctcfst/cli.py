@@ -361,27 +361,27 @@ def build_parser() -> argparse.ArgumentParser:
     topo_build.add_argument("--labels", default=None,
                             help="CSV labels; builds the training graph when given")
     topo_build.add_argument("--out", default=None)
-    topo_build.set_defaults(func=cmd_topo)
+    topo_build.set_defaults(func=functools.partial(cmd_topo, parser=topo_build))
 
     loss_p = sub.add_parser("loss", help="CTC loss for a label/grid pair")
     _add_variant_flags(loss_p)
     loss_p.add_argument("--labels", required=True)
     loss_p.add_argument("--grid", required=True, help="matrix text file of log-probs")
     loss_p.add_argument("--grad", action="store_true", help="also print grad_logits")
-    loss_p.set_defaults(func=cmd_loss)
+    loss_p.set_defaults(func=functools.partial(cmd_loss, parser=loss_p))
 
     align = sub.add_parser("align", help="enumerate valid alignments")
     _add_variant_flags(align)
     align.add_argument("--labels", required=True)
     align.add_argument("--frames", type=int, required=True)
-    align.set_defaults(func=cmd_align)
+    align.set_defaults(func=functools.partial(cmd_align, parser=align))
 
     gc = sub.add_parser("grad-check", help="finite-difference gradient check")
     _add_variant_flags(gc)
     gc.add_argument("--labels", required=True)
     gc.add_argument("--logits", required=True, help="matrix text file of logits")
     gc.add_argument("--epsilon", type=float, default=1e-5)
-    gc.set_defaults(func=cmd_grad_check)
+    gc.set_defaults(func=functools.partial(cmd_grad_check, parser=gc))
 
     skip_p = sub.add_parser("skip", help="blank-frame skip analysis")
     skip_sub = skip_p.add_subparsers(dest="skip_command", required=True)
@@ -394,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--tokens", type=int, default=0,
                          help="output token count, for the gamma_max column")
     analyze.add_argument("--out", default=None)
-    analyze.set_defaults(func=cmd_skip)
+    analyze.set_defaults(func=functools.partial(cmd_skip, parser=analyze))
 
     def add_experiment_flags(p, *names):
         p.add_argument("--config", default=None, help="JSON config overriding flags")
@@ -409,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     tt = sub.add_parser("train-toy", help="train on synthetic data, report ratios")
     _add_variant_flags(tt)
     add_experiment_flags(tt, "skip_beta", *_EXPERIMENT_FLAGS)
-    tt.set_defaults(func=cmd_train_toy)
+    tt.set_defaults(func=functools.partial(cmd_train_toy, parser=tt))
 
     cmp_p = sub.add_parser("compare", help="train several variants on shared data")
     cmp_p.add_argument(
@@ -417,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated run specs, e.g. standard+skip:0.85,soft:0.04,hard:1",
     )
     add_experiment_flags(cmp_p, *_EXPERIMENT_FLAGS)
-    cmp_p.set_defaults(func=cmd_compare)
+    cmp_p.set_defaults(func=functools.partial(cmd_compare, parser=cmp_p))
 
     return parser
 
@@ -427,10 +427,9 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args, parser)
+        return args.func(args)  # bound to its own subcommand's parser
     except (CtcFstError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

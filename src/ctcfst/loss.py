@@ -1,14 +1,14 @@
 """CTC negative log-likelihood and analytic gradients under any topology.
 
-One batched forward-backward engine (:func:`pack` and
-:meth:`GraphBatch.total_and_occupancy`) serves :func:`ctc_loss`, as a batch
-of one with every frame kept, :func:`grad_check`, as one batch of bumped grids
-per frame, and the toy trainer, which masks out its padding and skipped
-frames. Three independent implementations
-cross-check it in the tests: the generic lattice of :mod:`ctcfst.lattice`,
-the classic alpha recursion over the 2U+1 expanded label sequence (standard
-topology only) and a brute-force sum over enumerated alignments (all
-variants, small instances).
+One call, :func:`batch_loss`, on one batched forward-backward engine
+(:func:`pack` and :meth:`GraphBatch.total_and_occupancy`) gives per-row
+losses, occupancy and masked logit gradients. It serves :func:`ctc_loss`, as
+a batch of one with every frame kept, :func:`grad_check`, as one batch of
+bumped grids per frame, and the toy trainer, which masks out its padding and
+skipped frames. Three independent implementations cross-check it in the
+tests: the generic lattice of :mod:`ctcfst.lattice`, the classic alpha
+recursion over the 2U+1 expanded label sequence (standard topology only) and
+a brute-force sum over enumerated alignments (all variants, small instances).
 """
 
 from __future__ import annotations
@@ -130,18 +130,13 @@ def pack(
 ) -> GraphBatch:
     """Pack the CTC chains of ``label_seqs`` for (num_frames, num_classes) grids.
 
-    The chains are those of :func:`ctcfst.topology.build_chain`, without its
-    added final state, except that a hard bound ``>= num_frames`` packs the
-    standard chain: no run can be longer. The tests hold the chains to
-    :func:`build_training_graph`. Raises ``ValueError`` for a label outside
-    1..``num_classes - 1``.
+    The chains are :func:`ctcfst.topology._chain`'s for ``num_frames``
+    frames; the tests hold them to :func:`build_training_graph`. Raises
+    ``ValueError`` for a label outside 1..``num_classes - 1``.
     """
     for labels in label_seqs:
         _validate_labels(labels, num_classes - 1)
-    bounded = variant.kind == "hard" and variant.max_run < num_frames
-    depth = variant.max_run if bounded else 1
-    loop = None if bounded else (-variant.penalty if variant.kind == "soft" else 0.0)
-    chains = [_chain(labels, depth, loop) for labels in label_seqs]
+    chains = [_chain(labels, variant, num_frames) for labels in label_seqs]
     batch, states = len(chains), max(len(syms) for _, syms, _ in chains)
     sym = np.zeros((batch, states), dtype=np.intp)
     fin = np.full((batch, states), -np.inf)
@@ -176,14 +171,24 @@ class LossResult:
 
 
 def log_softmax(logits) -> np.ndarray:
-    """Row-wise log-softmax, shifted by the row max so +-700 inputs are safe."""
+    """Log-softmax over the last axis of an array of any rank >= 1, shifted by
+    the max so +-700 inputs are safe; the result keeps the input's layout."""
     logits = np.asarray(logits, dtype=float)
-    if logits.ndim != 2:
-        raise ValueError(f"logits must be 2-D, got shape {logits.shape}")
+    if logits.ndim == 0:
+        raise ValueError("logits must have at least one axis, got a scalar")
     if not np.isfinite(logits).all():
         raise ValueError("logits must be finite")
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return shifted
+
+
+def batch_loss(batch: GraphBatch, logp, keep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row loss, logit gradient and occupancy of (B, T, C) log-softmax
+    grids over their ``keep`` frames, as in :meth:`GraphBatch.total_and_occupancy`.
+    The gradient is softmax minus occupancy on kept frames, 0 on dropped ones."""
+    total, occupancy = batch.total_and_occupancy(logp, keep)
+    return -total, np.where(keep[:, :, None], np.exp(logp) - occupancy, 0.0), occupancy
 
 
 def ctc_loss(
@@ -201,10 +206,10 @@ def ctc_loss(
     num_frames, num_cols = grid.shape
     batch = pack([labels], variant, num_frames, num_cols)
     try:
-        total, occupancy = batch.total_and_occupancy(grid[None], np.ones((1, num_frames), bool))
+        loss, grad, occupancy = batch_loss(batch, grid[None], np.ones((1, num_frames), bool))
     except NoPathError:
         raise InfeasibleAlignmentError(num_frames, len(labels), variant) from None
-    return LossResult(-float(total[0]), np.exp(grid) - occupancy[0], occupancy[0])
+    return LossResult(float(loss[0]), grad[0], occupancy[0])
 
 
 def ctc_loss_alpha(labels: Sequence[int], grid) -> float:
@@ -294,18 +299,15 @@ def grad_check(
     batch = pack([labels] * 2 * classes, variant, frames, classes)
     keep = np.ones((2 * classes, frames), dtype=bool)
     cols = np.arange(classes)
-    worst = 0.0
+    numeric = np.empty_like(analytic)
     for t in range(frames):
         bumped = np.repeat(logits[None], 2 * classes, axis=0)
         up, down = bumped[:classes], bumped[classes:]
         up[cols, t, cols] += epsilon
         down[cols, t, cols] = up[cols, t, cols] - 2 * epsilon
-        grids = log_softmax(bumped.reshape(-1, classes)).reshape(bumped.shape)
-        loss = -batch.total_and_occupancy(grids, keep)[0]
-        numeric = (loss[:classes] - loss[classes:]) / (2 * epsilon)
-        err = np.abs(analytic[t] - numeric) / (np.abs(numeric) + 1e-8)
-        worst = max(worst, float(err.max()))
-    return worst
+        loss = batch_loss(batch, log_softmax(bumped), keep)[0]
+        numeric[t] = (loss[:classes] - loss[classes:]) / (2 * epsilon)
+    return float((np.abs(analytic - numeric) / (np.abs(numeric) + 1e-8)).max())
 
 
 def greedy_decode(grid) -> list[int]:

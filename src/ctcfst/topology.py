@@ -80,10 +80,7 @@ def build_topology(vocab_size: int, variant: TopologyVariant = STANDARD) -> Fst:
     """
     if vocab_size < 1:
         raise ValueError("vocab_size must be >= 1")
-    # Standard and soft are the hard unrolling at depth 1, whose one state
-    # per symbol keeps the non-blank self-loop instead of ending the run.
-    depth = variant.max_run if variant.kind == "hard" else 1
-    loop_weight = -variant.penalty if variant.kind == "soft" else 0.0
+    depth, loop = _run_shape(variant)
     fst = Fst()
     hub = fst.add_state()  # blank hub, also the start state
     run = [[fst.add_state() for _ in range(depth)] for _ in range(vocab_size)]
@@ -98,8 +95,8 @@ def build_topology(vocab_size: int, variant: TopologyVariant = STANDARD) -> Fst:
             s = run[k - 1][c]
             if c + 1 < depth:
                 fst.add_arc(s, run[k - 1][c + 1], k, EPSILON)
-            elif variant.kind != "hard":
-                fst.add_arc(s, s, k, EPSILON, loop_weight)  # the non-blank self-loop
+            elif loop is not None:
+                fst.add_arc(s, s, k, EPSILON, loop)  # the non-blank self-loop
             fst.add_arc(s, hub, BLANK, EPSILON)
             for j in range(1, vocab_size + 1):
                 if j != k:
@@ -133,9 +130,19 @@ def build_training_graph(
     return connect(compose(topo, linear))
 
 
-def _chain(labels: Sequence[int], depth: int, loop: float | None):
+def _run_shape(variant: TopologyVariant, num_frames: float = float("inf")):
+    """A label run's depth and self-loop weight (None: no loop). A standard or
+    soft run is one state that keeps its self-loop; a hard bound
+    ``>= num_frames`` runs as standard, since no run can be longer."""
+    if variant.kind == "hard" and variant.max_run < num_frames:
+        return variant.max_run, None
+    return 1, -variant.penalty if variant.kind == "soft" else 0.0
+
+
+def _chain(labels: Sequence[int], variant: TopologyVariant, num_frames: float = float("inf")):
     """One chain's arcs ``(src, dst, weight)``, sorted so that each state's
     arcs enter and leave in state order; its state symbols; its final states."""
+    depth, loop = _run_shape(variant, num_frames)
     arcs, syms = [(0, 0, 0.0)], [BLANK]
     blank, run = 0, []
     for tok, prev in zip(labels, [None, *labels]):
@@ -162,9 +169,7 @@ def build_chain(labels: Sequence[int], vocab_size: int, variant: TopologyVariant
     if vocab_size < 1:
         raise ValueError("vocab_size must be >= 1")
     _validate_labels(labels, vocab_size)
-    bounded = variant.kind == "hard"
-    loop = None if bounded else (-variant.penalty if variant.kind == "soft" else 0.0)
-    arcs, syms, finals = _chain(labels, variant.max_run if bounded else 1, loop)
+    arcs, syms, finals = _chain(labels, variant)
     fst = Fst()
     for _ in range(len(syms) + 1):
         fst.add_state()

@@ -2,13 +2,14 @@
 
 Synthetic frame-labeled corpora, a per-frame linear classifier trained with
 the exact CTC loss under any topology variant, and blank-ratio measurement.
-The trainer runs the batched forward-backward engine of :mod:`ctcfst.loss`
-(the one behind ``ctc_loss``) over the per-utterance CTC chains, packed once,
-one padded batch per step. A frame past an utterance's end and a frame
-skipped by ``skip_beta`` are the same case: both are left out of the
-engine's keep mask, so the grid goes in unchanged. The engine steps only
-through the most frames any utterance keeps, so skipped frames cost no
-recursion step and skipping makes a training step cheaper.
+The trainer takes its grid from :func:`ctcfst.loss.log_softmax` and its
+losses and logit gradients from :func:`ctcfst.loss.batch_loss` (the call
+behind ``ctc_loss``), over the per-utterance CTC chains, packed once, one
+padded batch per step. A frame past an utterance's end and a frame skipped
+by ``skip_beta`` are the same case: both are left out of the engine's keep
+mask, so the grid goes in unchanged. The engine steps only through the most
+frames any utterance keeps, so skipped frames cost no recursion step and
+skipping makes a training step cheaper.
 
 Token runs are emitted with an onset/sustain amplitude envelope: the first
 frame of a run carries the full class mean, later frames a scaled-down copy.
@@ -24,8 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InfeasibleAlignmentError, TrainingDivergedError
-from .loss import greedy_decode, log_softmax, pack
+from .errors import InfeasibleAlignmentError, NoPathError, TrainingDivergedError
+from .loss import batch_loss, greedy_decode, log_softmax, pack
 from .skip import SWEEP_BETAS, SweepPoint, gamma_max, sweep_thresholds
 from .topology import STANDARD, TopologyVariant
 
@@ -219,33 +220,25 @@ def train(
 
     flat = feats.reshape(-1, dim)
     for step in range(steps):
-        # Class-major (C, B*T): the softmax reduces over the long axis, then
-        # one transpose gives the (B, T, C) grid the engine reads.
-        logits = weights.T @ flat.T + bias[:, None]
-        logits -= logits.max(axis=0)
-        logits -= np.log(np.exp(logits).sum(axis=0))
-        logp = logits.T.reshape(batch, t_max, classes)
-        probs = np.exp(logp)
-
-        keep = real
-        if skip_beta is not None and step >= warmup_steps:
-            keep = real & ~(probs[:, :, 0] > skip_beta)
-            infeasible = keep.sum(axis=1) < min_lens
-            keep[infeasible] = real[infeasible]
-
-        total, occupancy = engine.total_and_occupancy(logp, keep)
-        loss = float(np.mean(-total))
-        if not np.isfinite(loss):
-            raise TrainingDivergedError(step)
-        losses.append(loss)
-
-        grad_logits = np.where(keep[:, :, None], probs - occupancy, 0.0)
-        # Divergence surfaces as non-finite parameters, raised below; keep the
-        # overflow itself quiet.
+        # Paths fit their frames (checked above), so an overflow, a non-finite
+        # logit or a lost path within a step is divergence, raised as one error.
         with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                # Class-major (C, B*T), transposed, not copied: reduce the long axis.
+                logits = weights.T @ flat.T + bias[:, None]
+                logp = log_softmax(logits.T).reshape(batch, t_max, classes)
+                keep = real
+                if skip_beta is not None and step >= warmup_steps:
+                    keep = real & ~(np.exp(logp[:, :, 0]) > skip_beta)
+                    infeasible = keep.sum(axis=1) < min_lens
+                    keep[infeasible] = real[infeasible]
+                row_loss, grad_logits, _ = batch_loss(engine, logp, keep)
+            except (ValueError, NoPathError):  # non-finite logits; no path
+                raise TrainingDivergedError(step) from None
+            losses.append(float(np.mean(row_loss)))
             weights = weights - step_size * (flat.T @ grad_logits.reshape(-1, classes) / batch)
             bias = bias - step_size * (grad_logits.sum(axis=(0, 1)) / batch)
-        if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
+        if not (np.isfinite(losses[-1]) and np.isfinite(weights).all() and np.isfinite(bias).all()):
             raise TrainingDivergedError(step)
 
     return ToyModel(weights=weights, bias=bias), losses

@@ -101,6 +101,36 @@ class TestUsageErrors:
             )
         assert info.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["topo", "build", "--vocab", "2"],
+            ["loss", "--labels", "A", "--grid", "g.txt"],
+            ["align", "--labels", "A", "--frames", "2"],
+            ["grad-check", "--labels", "A", "--logits", "g.txt"],
+            ["train-toy", "--out", "out"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--variant", "hard", "--k", "0"], "hard repeat bound must be >= 1"),
+            (["--variant", "soft"], "soft needs a parameter: --lambda X or soft:X"),
+            (["--k", "2"], "--k does not apply to the standard variant"),
+        ],
+        ids=["k0", "no-lambda", "stray-k"],
+    )
+    def test_variant_errors_name_the_subcommand(self, capsys, argv, flags, message):
+        # Each command's usage line and error prefix are its own, not the root's.
+        sub = " ".join(argv[:2] if argv[0] == "topo" else argv[:1])
+        with pytest.raises(SystemExit) as info:
+            main(argv + flags)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: ctcfst {sub} ")
+        assert err.endswith(f"\nctcfst {sub}: error: {message}\n")
+
 
 class TestParserReuse:
     def test_calls_print_what_a_fresh_parser_prints(self, capsys, uniform3):
@@ -185,7 +215,8 @@ class TestTopo:
             main(["topo", "build", "--vocab", "2", "--variant", "hard", "--k", "0"])
         assert info.value.code == 2
         err = capsys.readouterr().err
-        assert err.endswith("\nctcfst: error: hard repeat bound must be >= 1\n")
+        assert err.startswith("usage: ctcfst topo build ")
+        assert err.endswith("\nctcfst topo build: error: hard repeat bound must be >= 1\n")
 
 
 class TestGradCheckCommand:
@@ -283,6 +314,13 @@ class TestExperimentCommands:
                 for f in ("report.csv", "loss_curve.csv", "curve.csv", "model.txt")
             }
         assert outputs["one"] == outputs["two"]
+
+    def test_divergence_is_one_line(self, tmp_path, capsys):
+        tiny = ["--steps", "10", "--train-utterances", "5", "--eval-utterances", "2"]
+        argv = ["train-toy", *tiny, "--step-size", "1e307", "--out", str(tmp_path)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: training diverged at step 1\n"
+        assert not list(tmp_path.iterdir())
 
     def test_compare_outputs(self, tmp_path):
         config_path = tmp_path / "config.json"

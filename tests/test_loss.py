@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_grid, uniform_grid
+import ctcfst
 from ctcfst import (
     STANDARD,
     InfeasibleAlignmentError,
@@ -22,7 +23,7 @@ from ctcfst import (
     min_alignment_length,
     soft,
 )
-from ctcfst.loss import _log_add_arcs, pack
+from ctcfst.loss import _log_add_arcs, batch_loss, pack
 
 ALL_VARIANTS = (STANDARD, soft(0.05), soft(5.0), hard(1), hard(2))
 
@@ -54,8 +55,26 @@ class TestLogSoftmax:
         assert np.exp(out).sum(axis=1) == pytest.approx(np.ones(20), abs=1e-12)
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            log_softmax([[np.nan, 0.0]])
+        for bad in ([[np.nan, 0.0]], [np.inf, 0.0], np.full((2, 3, 4), -np.inf)):
+            with pytest.raises(ValueError, match=r"^logits must be finite$"):
+                log_softmax(bad)
+
+    def test_scalar_rejected(self):
+        with pytest.raises(ValueError, match=r"^logits must have at least one axis[^\n]*$"):
+            log_softmax(3.0)
+
+    def test_any_rank_and_layout_equals_the_row_call_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        logits = rng.uniform(-700, 700, size=(4, 5, 6))
+        rows = logits.reshape(-1, 6)
+        want = np.stack([log_softmax(row[None])[0] for row in rows])
+        assert np.array_equal(log_softmax(rows), want)
+        assert np.array_equal(log_softmax(logits).reshape(-1, 6), want)
+        assert all(np.array_equal(log_softmax(row), w) for row, w in zip(rows, want))
+        # The transpose of class-major logits, as the trainer passes them.
+        class_major = np.ascontiguousarray(rows.T)
+        assert class_major.T.flags.f_contiguous
+        assert np.array_equal(log_softmax(class_major.T), want)
 
 
 class TestCtcLoss:
@@ -384,3 +403,29 @@ class TestLogAddArcs:
         assert total == pytest.approx(3 * math.log(1 / 3), abs=1e-12)
         assert np.array_equal(occupancy[:, :, 0], np.ones((2, 3)))
 
+
+class TestOneLossHome:
+    """``batch_loss`` is the one home of the loss, the logit gradient and the
+    occupancy: ``ctc_loss``, ``grad_check`` and the trainer all reach it."""
+
+    def test_every_caller_reaches_batch_loss(self, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args[1].shape)
+            return batch_loss(*args, **kwargs)
+
+        for module in (ctcfst.loss, ctcfst.toy):
+            if hasattr(module, "batch_loss"):
+                monkeypatch.setattr(module, "batch_loss", spy)
+        labels, grid = [1, 2, 2], random_grid(np.random.default_rng(13), 6, 4)
+        ctc_loss(labels, grid)
+        assert calls == [(1, 6, 4)]
+        grad_check(labels, grid)
+        # One call for the analytic gradient, then one per frame for the
+        # 2C bumped grids.
+        assert calls[1:] == [(1, 6, 4)] + [(8, 6, 4)] * 6
+        corpus = ctcfst.generate_corpus(ctcfst.CorpusConfig(num_utterances=3, seed=2))
+        del calls[:]
+        ctcfst.train(corpus, steps=2)
+        assert len(calls) == 2 and calls[0][0] == 3

@@ -31,7 +31,7 @@ from ctcfst import (
     total_score,
     train,
 )
-from ctcfst.loss import pack
+from ctcfst.loss import batch_loss, pack
 from ctcfst.topology import build_training_graph
 from ctcfst.toy import ExperimentConfig
 
@@ -222,11 +222,16 @@ class TestGraphBatchEngine:
         labels_list, grids, masks = batch
         engine, padded, keep = packed_batch(labels_list, grids, variant, masks)
         total, occupancy = engine.total_and_occupancy(padded, keep)
+        loss, grad, shared_occupancy = batch_loss(engine, padded, keep)
+        assert np.array_equal(loss, -total)
+        assert np.array_equal(shared_occupancy, occupancy)
         assert not occupancy[~keep].any()
+        assert not grad[~keep].any()
         for n, (labels, grid, mask) in enumerate(zip(labels_list, grids, masks)):
             single = ctc_loss(labels, grid[mask], variant)
-            assert -total[n] == single.loss
+            assert -total[n] == loss[n] == single.loss
             assert np.array_equal(occupancy[n, keep[n]], single.occupancy)
+            assert np.array_equal(grad[n, keep[n]], single.grad_logits)
 
     @pytest.mark.parametrize(
         "variant", [STANDARD, soft(0.3), hard(1), hard(2), hard(50)], ids=str
@@ -381,9 +386,14 @@ class TestTrain:
         assert guarded == plain
 
     def test_divergence_raises(self):
+        # Steps this large overflow within a step or lose a graph's every path;
+        # each is divergence, raised as such and without a numpy warning.
         corpus = generate_corpus(CorpusConfig(num_utterances=5, seed=1))
-        with pytest.raises(TrainingDivergedError):
-            train(corpus, STANDARD, steps=10, step_size=1e308)
+        for step_size in (1e290, 1e297, 1e307, 1e308):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(TrainingDivergedError):
+                    train(corpus, STANDARD, steps=10, step_size=step_size)
 
     def test_infeasible_corpus_rejected(self):
         cfg = CorpusConfig(num_utterances=1, seed=0)
