@@ -199,10 +199,10 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(**settings, corpus=CorpusConfig(**corpus))
 
 
-def _sweep_csv(rows) -> str:
-    lines = ["beta,ratio,gamma_max"]
-    for point in rows:
-        lines.append(f"{_fmt(point.beta)},{_fmt(point.ratio)},{_fmt(point.gamma_max)}")
+def _csv(header: str, rows) -> str:
+    """The header line, then one line per row: numbers in ``_fmt`` form, strings as is."""
+    lines = [header]
+    lines += [",".join(v if isinstance(v, str) else _fmt(v) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -258,7 +258,7 @@ def cmd_skip(args, parser) -> int:
     else:
         betas = list(SWEEP_BETAS)
     rows = sweep_thresholds([blank_probs], [args.tokens], betas)
-    _emit(_sweep_csv(rows), args.out)
+    _emit(_csv("beta,ratio,gamma_max", rows), args.out)
     return 0
 
 
@@ -279,18 +279,15 @@ def cmd_train_toy(args, parser) -> int:
         model, eval_corpus, betas=config.betas, name=spec.name, final_loss=losses[-1]
     )
     os.makedirs(args.out, exist_ok=True)
-    header = "name,final_loss,token_error_rate,gamma_max"
-    line = (
-        f"{report.name},{_fmt(report.final_loss)},"
-        f"{_fmt(report.token_error_rate)},{_fmt(report.gamma_max)}"
-    )
-    _write_text(os.path.join(args.out, "report.csv"), f"{header}\n{line}\n")
-    loss_lines = ["step,loss"]
-    loss_lines += [f"{i},{_fmt(v)}" for i, v in enumerate(losses)]
-    _write_text(os.path.join(args.out, "loss_curve.csv"), "\n".join(loss_lines) + "\n")
-    _write_text(os.path.join(args.out, "curve.csv"), _sweep_csv(report.sweep))
-    stacked = np.vstack([model.weights, model.bias])
-    _write_text(os.path.join(args.out, "model.txt"), format_matrix(stacked))
+    row = (report.name, report.final_loss, report.token_error_rate, report.gamma_max)
+    files = {
+        "report.csv": _csv("name,final_loss,token_error_rate,gamma_max", [row]),
+        "loss_curve.csv": _csv("step,loss", enumerate(losses)),
+        "curve.csv": _csv("beta,ratio,gamma_max", report.sweep),
+        "model.txt": format_matrix(np.vstack([model.weights, model.bias])),
+    }
+    for name, text in files.items():
+        _write_text(os.path.join(args.out, name), text)
     return 0
 
 
@@ -317,23 +314,18 @@ def cmd_compare(args, parser) -> int:
         betas=config.betas,
     )
     os.makedirs(args.out, exist_ok=True)
-    table = ["name,final_loss,token_error_rate,ratio_at_0.9,gamma_max"]
-    curves = ["name,beta,ratio,gamma_max"]
-    loss_rows = ["name,step,loss"]
-    for report, losses in results:
-        table.append(
-            f"{report.name},{_fmt(report.final_loss)},{_fmt(report.token_error_rate)},"
-            f"{_fmt(report.ratio_at(0.9))},{_fmt(report.gamma_max)}"
-        )
-        for point in report.sweep:
-            curves.append(
-                f"{report.name},{_fmt(point.beta)},{_fmt(point.ratio)},"
-                f"{_fmt(point.gamma_max)}"
-            )
-        loss_rows += [f"{report.name},{i},{_fmt(v)}" for i, v in enumerate(losses)]
-    _write_text(os.path.join(args.out, "compare.csv"), "\n".join(table) + "\n")
-    _write_text(os.path.join(args.out, "curves.csv"), "\n".join(curves) + "\n")
-    _write_text(os.path.join(args.out, "losses.csv"), "\n".join(loss_rows) + "\n")
+    table, curves, loss_rows = [], [], []
+    for r, losses in results:
+        table.append((r.name, r.final_loss, r.token_error_rate, r.ratio_at(0.9), r.gamma_max))
+        curves += [(r.name, *point) for point in r.sweep]
+        loss_rows += [(r.name, i, v) for i, v in enumerate(losses)]
+    files = {
+        "compare.csv": _csv("name,final_loss,token_error_rate,ratio_at_0.9,gamma_max", table),
+        "curves.csv": _csv("name,beta,ratio,gamma_max", curves),
+        "losses.csv": _csv("name,step,loss", loss_rows),
+    }
+    for name, text in files.items():
+        _write_text(os.path.join(args.out, name), text)
     return 0
 
 

@@ -331,7 +331,7 @@ def parse_matrix(text: str) -> np.ndarray:
     if not lines:
         raise ValueError("empty matrix file")
     header = lines[0].split()
-    if len(header) != 2:
+    if len(header) != 2 or not all(token.isdecimal() for token in header):
         raise ValueError(f"malformed matrix header: {lines[0]!r}")
     rows, cols = int(header[0]), int(header[1])
     body = lines[1:]

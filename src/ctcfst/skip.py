@@ -25,19 +25,16 @@ def _check_threshold(beta: float) -> None:
         raise ValueError(f"threshold must lie in (0, 1), got {beta}")
 
 
-def _checked_probs(blank_probs: Sequence[float]) -> np.ndarray:
+def classify_blank_frames(blank_probs, beta: float) -> np.ndarray:
+    """Bool mask, shaped like ``blank_probs`` (any shape), of the frames whose blank
+    probability strictly exceeds ``beta``: every skip decision, trainer and sweep."""
+    _check_threshold(beta)
     probs = np.asarray(blank_probs, dtype=float)
-    if probs.ndim != 1 or probs.size == 0:
-        raise ValueError("blank_probs must be a non-empty 1-D sequence")
+    if probs.size == 0:
+        raise ValueError("blank_probs must be non-empty")
     if not ((probs >= 0.0) & (probs <= 1.0)).all():  # NaN fails both tests
         raise ValueError("blank probabilities must lie in [0, 1]")
-    return probs
-
-
-def classify_blank_frames(blank_probs: Sequence[float], beta: float) -> np.ndarray:
-    """(T,) bool mask of the frames whose blank probability strictly exceeds ``beta``."""
-    _check_threshold(beta)
-    return _checked_probs(blank_probs) > beta
+    return probs > beta
 
 
 def apply_skip(frames: Sequence[Any], mask: np.ndarray) -> list[tuple[int, Any]]:
@@ -82,8 +79,10 @@ def sweep_thresholds(
     corpus_gamma = gamma_max(sum(label_counts), total_frames)
     for beta in betas:
         _check_threshold(beta)
-    probs = np.concatenate([_checked_probs(p) for p in blank_prob_sets])
+    if any(np.ndim(p) != 1 or len(p) == 0 for p in blank_prob_sets):
+        raise ValueError("blank_probs must be a non-empty 1-D sequence")
+    probs = np.concatenate(blank_prob_sets)
     return [
-        SweepPoint(beta, int(np.count_nonzero(probs > beta)) / total_frames, corpus_gamma)
+        SweepPoint(beta, int(classify_blank_frames(probs, beta).sum()) / total_frames, corpus_gamma)
         for beta in betas
     ]

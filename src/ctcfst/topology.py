@@ -41,7 +41,7 @@ class TopologyVariant:
     def __post_init__(self):
         if self.kind not in ("standard", "soft", "hard"):
             raise ValueError(f"unknown topology kind {self.kind!r}")
-        if self.kind == "soft" and self.penalty < 0:
+        if self.kind == "soft" and not self.penalty >= 0:  # NaN fails too
             raise ValueError("soft penalty must be >= 0")
         if self.kind == "hard" and self.max_run < 1:
             raise ValueError("hard repeat bound must be >= 1")

@@ -2,14 +2,14 @@
 
 Synthetic frame-labeled corpora, a per-frame linear classifier trained with
 the exact CTC loss under any topology variant, and blank-ratio measurement.
-The trainer takes its grid from :func:`ctcfst.loss.log_softmax` and its
-losses and logit gradients from :func:`ctcfst.loss.batch_loss` (the call
-behind ``ctc_loss``), over the per-utterance CTC chains, packed once, one
-padded batch per step. A frame past an utterance's end and a frame skipped
-by ``skip_beta`` are the same case: both are left out of the engine's keep
-mask, so the grid goes in unchanged. The engine steps only through the most
-frames any utterance keeps, so skipped frames cost no recursion step and
-skipping makes a training step cheaper.
+One home per fact, for the trainer and :func:`evaluate` alike: the batch
+layout is :meth:`SyntheticCorpus.padded`, the forward :meth:`ToyModel.grid`
+and the skip decision :func:`ctcfst.skip.classify_blank_frames`. Losses and
+logit gradients come from :func:`ctcfst.loss.batch_loss` over the CTC chains,
+packed once. A frame past an utterance's end and a frame skipped by
+``skip_beta`` are both left out of the engine's keep mask, and the engine
+steps only through the most frames any utterance keeps, so skipping makes a
+training step cheaper.
 
 Token runs are emitted with an onset/sustain amplitude envelope: the first
 frame of a run carries the full class mean, later frames a scaled-down copy.
@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import InfeasibleAlignmentError, NoPathError, TrainingDivergedError
 from .loss import batch_loss, greedy_decode, log_softmax, pack
-from .skip import SWEEP_BETAS, SweepPoint, gamma_max, sweep_thresholds
+from .skip import SWEEP_BETAS, SweepPoint, classify_blank_frames, gamma_max, sweep_thresholds
 from .topology import STANDARD, TopologyVariant
 
 
@@ -58,6 +58,8 @@ class CorpusConfig:
             raise ValueError("need 1 <= min_tokens <= max_tokens")
         if not 0 < self.sustain_scale <= 1:
             raise ValueError("sustain_scale must lie in (0, 1]")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -79,6 +81,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
+        if not 0 <= self.step_size < np.inf:  # NaN fails too
+            raise ValueError(f"step_size must be finite and >= 0, got {self.step_size:g}")
+        if not 0 <= self.warmup_fraction <= 1:
+            raise ValueError(f"warmup_fraction must lie in [0, 1], got {self.warmup_fraction:g}")
         if self.skip_beta is not None and not 0 < self.skip_beta < 1:
             raise ValueError(f"skip_beta must lie in (0, 1), got {self.skip_beta:g}")
         if not self.betas:
@@ -118,6 +124,15 @@ class SyntheticCorpus:
         tokens = sum(len(u.labels) for u in self.utterances)
         frames = sum(len(u.features) for u in self.utterances)
         return gamma_max(tokens, frames)
+
+    def padded(self) -> tuple[np.ndarray, np.ndarray]:
+        """Zero-padded (N, T, D) features and the (N, T) real-frame mask, T
+        the longest utterance: the one layout of a corpus as a batch."""
+        lengths = np.array([len(u.features) for u in self.utterances])
+        real = np.arange(lengths.max()) < lengths[:, None]
+        features = np.zeros(real.shape + (self.config.feature_dim,))
+        features[real] = np.concatenate([u.features for u in self.utterances])
+        return features, real
 
 
 def token_means(config: CorpusConfig) -> np.ndarray:
@@ -163,11 +178,12 @@ class ToyModel:
     weights: np.ndarray  # (D, V+1)
     bias: np.ndarray  # (V+1,)
 
-    def logits(self, features: np.ndarray) -> np.ndarray:
-        return features @ self.weights + self.bias
-
     def grid(self, features: np.ndarray) -> np.ndarray:
-        return log_softmax(self.logits(features))
+        """(..., V+1) log-softmax grid of (..., D) features, the one forward:
+        class-major (V+1, frames) logits, transposed, not copied, for the softmax."""
+        flat = features.reshape(-1, features.shape[-1])
+        logits = self.weights.T @ flat.T + self.bias[:, None]
+        return log_softmax(logits.T).reshape(*features.shape[:-1], -1)
 
 
 def min_alignment_length(labels: Sequence[int]) -> int:
@@ -193,55 +209,46 @@ def train(
     of them for that step. Training is deterministic: zero init, full batch,
     fixed summation order.
     """
-    ExperimentConfig(steps=steps, skip_beta=skip_beta)  # the range checks
+    ExperimentConfig(  # the range checks
+        steps=steps, step_size=step_size, skip_beta=skip_beta, warmup_fraction=warmup_fraction
+    )
     utts = corpus.utterances
     batch = len(utts)
     classes = corpus.config.vocab_size + 1
-    dim = corpus.config.feature_dim
-    t_counts = np.array([len(u.features) for u in utts])
-    t_max = int(t_counts.max())
+    feats, real = corpus.padded()
+    t_counts = real.sum(axis=1)
     min_lens = np.array([min_alignment_length(u.labels) for u in utts])
     for n, u in enumerate(utts):
         if t_counts[n] < min_lens[n]:
             raise InfeasibleAlignmentError(int(t_counts[n]), len(u.labels), variant)
 
-    engine = pack([u.labels for u in utts], variant, t_max, classes)
-
-    feats = np.zeros((batch, t_max, dim))
-    real = np.zeros((batch, t_max), dtype=bool)
-    for n, u in enumerate(utts):
-        feats[n, : t_counts[n]] = u.features
-        real[n, : t_counts[n]] = True
-
-    weights = np.zeros((dim, classes))
-    bias = np.zeros(classes)
+    engine = pack([u.labels for u in utts], variant, real.shape[1], classes)
+    model = ToyModel(np.zeros((feats.shape[-1], classes)), np.zeros(classes))
     warmup_steps = int(round(warmup_fraction * steps))
     losses: list[float] = []
 
-    flat = feats.reshape(-1, dim)
+    flat = feats.reshape(-1, feats.shape[-1])
     for step in range(steps):
         # Paths fit their frames (checked above), so an overflow, a non-finite
         # logit or a lost path within a step is divergence, raised as one error.
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                # Class-major (C, B*T), transposed, not copied: reduce the long axis.
-                logits = weights.T @ flat.T + bias[:, None]
-                logp = log_softmax(logits.T).reshape(batch, t_max, classes)
+                logp = model.grid(feats)
                 keep = real
                 if skip_beta is not None and step >= warmup_steps:
-                    keep = real & ~(np.exp(logp[:, :, 0]) > skip_beta)
+                    keep = real & ~classify_blank_frames(np.exp(logp[..., 0]), skip_beta)
                     infeasible = keep.sum(axis=1) < min_lens
                     keep[infeasible] = real[infeasible]
                 row_loss, grad_logits, _ = batch_loss(engine, logp, keep)
             except (ValueError, NoPathError):  # non-finite logits; no path
                 raise TrainingDivergedError(step) from None
             losses.append(float(np.mean(row_loss)))
-            weights = weights - step_size * (flat.T @ grad_logits.reshape(-1, classes) / batch)
-            bias = bias - step_size * (grad_logits.sum(axis=(0, 1)) / batch)
-        if not (np.isfinite(losses[-1]) and np.isfinite(weights).all() and np.isfinite(bias).all()):
+            model.weights -= step_size * (flat.T @ grad_logits.reshape(-1, classes) / batch)
+            model.bias -= step_size * (grad_logits.sum(axis=(0, 1)) / batch)
+        if not all(np.isfinite(a).all() for a in (losses[-1], model.weights, model.bias)):
             raise TrainingDivergedError(step)
 
-    return ToyModel(weights=weights, bias=bias), losses
+    return model, losses
 
 
 @dataclass
@@ -277,22 +284,19 @@ def evaluate(
     name: str = "",
     final_loss: float = float("nan"),
 ) -> ExperimentReport:
-    """Blank-ratio sweep, greedy-decode token error rate, and gamma_max."""
-    prob_sets = []
-    counts = []
-    edits = 0
-    ref_len = 0
-    for u in corpus.utterances:
-        grid = model.grid(u.features)
-        prob_sets.append(np.exp(grid[:, 0]))
-        counts.append(len(u.labels))
-        edits += edit_distance(greedy_decode(grid), u.labels)
-        ref_len += len(u.labels)
+    """Blank-ratio sweep, greedy-decode token error rate, and gamma_max from
+    one forward over the padded corpus, each utterance read from its real rows."""
+    feats, real = corpus.padded()
+    grid = model.grid(feats)
+    edits = tokens = 0
+    for rows, mask, u in zip(grid, real, corpus.utterances):
+        edits += edit_distance(greedy_decode(rows[mask]), u.labels)
+        tokens += len(u.labels)
     return ExperimentReport(
         name=name,
         final_loss=final_loss,
-        sweep=sweep_thresholds(prob_sets, counts, betas),
-        token_error_rate=edits / ref_len,
+        sweep=sweep_thresholds([np.exp(grid[..., 0][real])], [tokens], betas),
+        token_error_rate=edits / tokens,
         gamma_max=corpus.gamma_max,
     )
 

@@ -72,6 +72,13 @@ class TestLoss:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "outside vocabulary range 1..2" in err
 
+    @pytest.mark.parametrize("header", ["2.5 3", "2 -3"])
+    def test_malformed_header_exits_one(self, tmp_path, capsys, header):
+        path = tmp_path / "grid.txt"
+        path.write_text(f"{header}\n0 0 0\n0 0 0\n")
+        assert main(["loss", "--labels", "A", "--grid", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: malformed matrix header: {header!r}\n"
+
     def test_missing_file_exits_one(self, capsys):
         assert main(["loss", "--labels", "A", "--grid", "/nonexistent.txt"]) == 1
 
@@ -87,7 +94,7 @@ class TestUsageErrors:
             main(["align", "--labels", "A", "--frames", "2", "--variant", "soft"])
         assert info.value.code == 2
 
-    @pytest.mark.parametrize("penalty", ["-0.5", "-1e-5", "-5E+2"])
+    @pytest.mark.parametrize("penalty", ["-0.5", "-1e-5", "-5E+2", "nan"])
     def test_negative_lambda_exits_two(self, capsys, penalty):
         with pytest.raises(SystemExit) as info:
             main(["topo", "build", "--vocab", "2", "--variant", "soft", "--lambda", penalty])
@@ -402,12 +409,18 @@ class TestExperimentCommands:
             ("train-toy", {"betas": [0.5, 1.0]}, "betas must lie in (0, 1)"),
             ("train-toy", {"betas": []}, "betas must not be empty"),
             ("train-toy", {"train_utterances": 0}, "train_utterances must be >= 1"),
+            ("train-toy", {"step_size": -1}, "step_size must be finite and >= 0"),
+            ("train-toy", {"warmup_fraction": 2}, "warmup_fraction must lie in [0, 1]"),
+            ("train-toy", {"seed": -1}, "seed must be >= 0"),
+            ("compare", {"seed": -1}, "seed must be >= 0"),
             ("compare", {"skip_beta": 0.5}, "'skip_beta' does not apply to compare"),
             ("compare", {"betas": [0.5, 0.99]}, "needs 0.9 in betas"),
         ],
         ids=[
             "list", "seed-null", "steps-null", "steps-bool", "noise-string",
-            "betas-range", "betas-empty", "train-utterances-zero", "compare-skip-beta", "compare-betas-without-0.9",
+            "betas-range", "betas-empty", "train-utterances-zero", "step-size-negative",
+            "warmup-fraction-two", "seed-negative", "compare-seed-negative", "compare-skip-beta",
+            "compare-betas-without-0.9",
         ],
     )
     def test_bad_setting_exits_one_before_any_corpus(
@@ -423,6 +436,27 @@ class TestExperimentCommands:
         assert code == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            ("--step-size", "step_size must be finite and >= 0"),
+            ("--warmup-fraction", "warmup_fraction must lie in [0, 1]"),
+        ],
+        ids=["step-size", "warmup-fraction"],
+    )
+    def test_nan_flag_exits_one_before_any_corpus(self, tmp_path, capsys, no_corpus, flag, message):
+        # JSON cannot carry NaN, so the flag is the way in.
+        assert main(["train-toy", flag, "nan", "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+
+    def test_nan_soft_penalty_run_spec_exits_one_before_any_corpus(
+        self, tmp_path, capsys, no_corpus
+    ):
+        assert main(["compare", "--runs", "soft:nan,standard", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "soft penalty must be >= 0" in err
 
     def test_single_run_spec_exits_one_before_any_corpus(self, tmp_path, capsys, no_corpus):
         assert main(["compare", "--runs", "standard", "--out", str(tmp_path)]) == 1

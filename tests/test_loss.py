@@ -244,6 +244,11 @@ class TestMatrixFormat:
         with pytest.raises(ValueError, match="rows"):
             parse_matrix("2 2\n0 0\n")
 
+    @pytest.mark.parametrize("header", ["2.5 3", "2 -3", "-1 2", "2 x", "2 3 4"])
+    def test_header_must_be_two_non_negative_integers(self, header):
+        with pytest.raises(ValueError, match="malformed matrix header"):
+            parse_matrix(f"{header}\n0 0 0\n0 0 0\n")
+
     def test_row_width_checked(self):
         with pytest.raises(ValueError, match="values"):
             parse_matrix("1 3\n0 0\n")

@@ -38,6 +38,20 @@ class TestClassifyBlankFrames:
         with pytest.raises(ValueError):
             classify_blank_frames([0.5, float("nan")], 0.9)
 
+    def test_any_shape_matches_row_wise_calls(self):
+        rng = np.random.default_rng(5)
+        probs = rng.uniform(0, 1, size=(7, 11))
+        probs[0, :3] = [0.9, 0.0, 1.0]  # a tie and the bounds
+        for beta in (0.3, 0.9):
+            mask = classify_blank_frames(probs, beta)
+            assert mask.shape == probs.shape
+            rows = np.stack([classify_blank_frames(row, beta) for row in probs])
+            assert np.array_equal(mask, rows)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            classify_blank_frames([[0.5, 0.2], [1.5, 0.1]], 0.9)
+        with pytest.raises(ValueError, match="non-empty"):
+            classify_blank_frames(np.empty((2, 0)), 0.9)
+
     def test_threshold_monotonicity(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
@@ -147,6 +161,14 @@ class TestSweepThresholds:
         ]
         rows = sweep_thresholds(prob_sets, counts, betas)
         assert [row.ratio for row in rows] == want
+
+    def test_each_utterance_must_be_one_dimensional(self):
+        with pytest.raises(ValueError, match="1-D"):
+            sweep_thresholds([[0.2, 0.3], np.full((2, 2), 0.5)], [1, 1], betas=[0.9])
+
+    def test_thresholds_are_checked_before_probabilities(self):
+        with pytest.raises(ValueError, match="threshold"):
+            sweep_thresholds([[1.5]], [0], betas=[0.9, 1.0])
 
     @pytest.mark.parametrize(
         "probs, message",

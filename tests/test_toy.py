@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ctcfst.skip
+import ctcfst.toy
 from ctcfst import (
     STANDARD,
     TERMINAL,
@@ -21,19 +23,22 @@ from ctcfst import (
     ctc_loss,
     edit_distance,
     evaluate,
+    gamma_max,
     generate_corpus,
+    greedy_decode,
     hard,
     intersect_dense,
     log_softmax,
     min_alignment_length,
     soft,
+    sweep_thresholds,
     token_means,
     total_score,
     train,
 )
 from ctcfst.loss import batch_loss, pack
 from ctcfst.topology import build_training_graph
-from ctcfst.toy import ExperimentConfig
+from ctcfst.toy import ExperimentConfig, ToyModel
 
 SMALL = CorpusConfig(num_utterances=30, seed=11)
 
@@ -85,6 +90,19 @@ class TestGenerateCorpus:
             CorpusConfig(stretch=1)
         with pytest.raises(ValueError):
             CorpusConfig(noise=-0.1)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            CorpusConfig(seed=-1)
+
+    def test_padded_layout(self):
+        corpus = generate_corpus(CorpusConfig(num_utterances=6, seed=3))
+        feats, real = corpus.padded()
+        lengths = [len(u.features) for u in corpus.utterances]
+        assert real.shape == (6, max(lengths)) and feats.shape == real.shape + (16,)
+        assert real.sum(axis=1).tolist() == lengths
+        for rows, mask, u in zip(feats, real, corpus.utterances):
+            assert mask[: len(u.features)].all()
+            assert np.array_equal(rows[mask], u.features)
+            assert not rows[~mask].any()
 
 
 VOCAB = 3
@@ -425,6 +443,62 @@ class TestEvaluate:
         assert min_alignment_length([]) == 0
 
 
+class TestThreeHomes:
+    """``ToyModel.grid`` is the one forward, ``SyntheticCorpus.padded`` the one
+    batch layout and ``classify_blank_frames`` the one skip decision: the
+    trainer, ``evaluate`` and the sweep all reach them."""
+
+    def test_every_caller_reaches_grid_and_classify(self, monkeypatch):
+        grids, masks = [], []
+        forward = ToyModel.grid
+        classify = ctcfst.skip.classify_blank_frames
+
+        def grid_spy(self, features):
+            grids.append(features.shape)
+            return forward(self, features)
+
+        def classify_spy(probs, beta):
+            masks.append(np.shape(probs))
+            return classify(probs, beta)
+
+        monkeypatch.setattr(ToyModel, "grid", grid_spy)
+        for module in (ctcfst.skip, ctcfst.toy):
+            monkeypatch.setattr(module, "classify_blank_frames", classify_spy)
+        corpus = generate_corpus(CorpusConfig(num_utterances=4, seed=2))
+        feats, real = corpus.padded()
+        model, _ = train(corpus, steps=4, skip_beta=0.5, warmup_fraction=0.5)
+        assert grids == [feats.shape] * 4
+        assert masks == [real.shape] * 2  # the steps after warmup
+        del grids[:], masks[:]
+        evaluate(model, corpus, betas=(0.5, 0.9))
+        assert grids == [feats.shape]
+        assert masks == [(int(real.sum()),)] * 2  # one per threshold
+
+    def test_report_matches_a_per_utterance_loop(self):
+        model, _ = train(generate_corpus(SMALL), STANDARD, steps=200)
+        corpus = generate_corpus(CorpusConfig(num_utterances=25, seed=12))
+        report = evaluate(model, corpus)
+        prob_sets, counts, edits = [], [], 0
+        for u in corpus.utterances:
+            grid = log_softmax(u.features @ model.weights + model.bias)
+            prob_sets.append(np.exp(grid[:, 0]))
+            counts.append(len(u.labels))
+            edits += edit_distance(greedy_decode(grid), u.labels)
+        frames = sum(len(p) for p in prob_sets)
+        assert report.sweep == sweep_thresholds(prob_sets, counts)
+        assert any(point.ratio > 0 for point in report.sweep)
+        assert report.token_error_rate == edits / sum(counts)
+        assert report.gamma_max == gamma_max(sum(counts), frames)
+
+    def test_padded_grid_matches_each_utterance_alone(self):
+        model, _ = train(generate_corpus(SMALL), STANDARD, steps=50)
+        corpus = generate_corpus(CorpusConfig(num_utterances=25, seed=12))
+        feats, real = corpus.padded()
+        grid = model.grid(feats)
+        for rows, mask, u in zip(grid, real, corpus.utterances):
+            assert np.array_equal(rows[mask], model.grid(u.features))
+
+
 class TestCompareVariants:
     def test_deterministic_and_monotone(self):
         train_corpus = generate_corpus(CorpusConfig(num_utterances=20, seed=2))
@@ -458,8 +532,14 @@ class TestExperimentConfig:
 
     @pytest.mark.parametrize(
         "bad",
-        [dict(steps=0), dict(skip_beta=1.0), dict(betas=(0.9, 1.0)), dict(eval_utterances=0)],
+        [
+            dict(steps=0), dict(skip_beta=1.0), dict(betas=(0.9, 1.0)), dict(eval_utterances=0),
+            dict(step_size=-1.0), dict(step_size=float("nan")), dict(step_size=float("inf")),
+            dict(warmup_fraction=-0.1), dict(warmup_fraction=1.5),
+            dict(warmup_fraction=float("nan")), dict(seed=-1),
+        ],
     )
     def test_range_checks(self, bad):
-        with pytest.raises(ValueError):
+        (key,) = bad
+        with pytest.raises(ValueError, match=key):
             ExperimentConfig(**bad)
