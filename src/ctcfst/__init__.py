@@ -49,7 +49,6 @@ from .skip import (
     REFERENCE_CORPUS_GAMMA_MAX,
     SWEEP_BETAS,
     SweepPoint,
-    apply_skip,
     classify_blank_frames,
     gamma_max,
     sweep_thresholds,
@@ -74,11 +73,11 @@ from .toy import (
     SyntheticCorpus,
     ToyModel,
     Utterance,
-    compare_variants,
     edit_distance,
     evaluate,
     generate_corpus,
     min_alignment_length,
+    run_experiment,
     token_means,
     train,
 )

@@ -32,15 +32,7 @@ from .topology import (
     hard,
     soft,
 )
-from .toy import (
-    DEFAULT_RUNS,
-    CorpusConfig,
-    ExperimentConfig,
-    RunSpec,
-    compare_variants,
-    evaluate,
-    train,
-)
+from .toy import DEFAULT_RUNS, CorpusConfig, ExperimentConfig, RunSpec, run_experiment
 
 # The --config keys and their types: the ExperimentConfig fields with the
 # corpus shape flattened in. A corpus's size and seed are experiment fields.
@@ -70,6 +62,13 @@ def _write_text(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _write_files(out: str, files: dict[str, str]) -> None:
+    """Make the output directory, then write each file in it atomically."""
+    os.makedirs(out, exist_ok=True)
+    for name, text in files.items():
+        _write_text(os.path.join(out, name), text)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -183,12 +182,23 @@ def _config_value(key: str, hint, value):
     raise ValueError(f"config key {key!r}: expected {expected}, got {json.dumps(value)}")
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object as a dict, refusing a key given twice, where plain
+    ``json.load`` lets the last one win silently."""
+    config = {}
+    for key, value in pairs:
+        if key in config:
+            raise ValueError(f"config key {key!r} given twice")
+        config[key] = value
+    return config
+
+
 def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     """The experiment flags, overridden by the ``--config`` file's keys."""
     settings = {key: value for key, value in vars(args).items() if key in _CONFIG_TYPES}
     if args.config is not None:
         with open(args.config) as handle:
-            overrides = json.load(handle)
+            overrides = json.load(handle, object_pairs_hook=_unique_keys)
         if not isinstance(overrides, dict):
             raise ValueError("config must be a JSON object")
         for key, value in overrides.items():
@@ -265,20 +275,7 @@ def cmd_skip(args, parser) -> int:
 def cmd_train_toy(args, parser) -> int:
     variant = _variant_from(args, parser)
     config = _experiment_config(args)
-    train_corpus, eval_corpus = config.corpora()
-    model, losses = train(
-        train_corpus,
-        variant,
-        steps=config.steps,
-        step_size=config.step_size,
-        skip_beta=config.skip_beta,
-        warmup_fraction=config.warmup_fraction,
-    )
-    spec = RunSpec(variant, skip_beta=config.skip_beta)
-    report = evaluate(
-        model, eval_corpus, betas=config.betas, name=spec.name, final_loss=losses[-1]
-    )
-    os.makedirs(args.out, exist_ok=True)
+    [(report, losses, model)] = run_experiment(config, [RunSpec(variant, config.skip_beta)])
     row = (report.name, report.final_loss, report.token_error_rate, report.gamma_max)
     files = {
         "report.csv": _csv("name,final_loss,token_error_rate,gamma_max", [row]),
@@ -286,8 +283,7 @@ def cmd_train_toy(args, parser) -> int:
         "curve.csv": _csv("beta,ratio,gamma_max", report.sweep),
         "model.txt": format_matrix(np.vstack([model.weights, model.bias])),
     }
-    for name, text in files.items():
-        _write_text(os.path.join(args.out, name), text)
+    _write_files(args.out, files)
     return 0
 
 
@@ -303,19 +299,8 @@ def cmd_compare(args, parser) -> int:
         runs = list(DEFAULT_RUNS)
     if len(runs) < 2:
         raise ValueError("need at least two run specs to compare")
-    train_corpus, eval_corpus = config.corpora()
-    results = compare_variants(
-        train_corpus,
-        eval_corpus,
-        runs,
-        steps=config.steps,
-        step_size=config.step_size,
-        warmup_fraction=config.warmup_fraction,
-        betas=config.betas,
-    )
-    os.makedirs(args.out, exist_ok=True)
     table, curves, loss_rows = [], [], []
-    for r, losses in results:
+    for r, losses, _ in run_experiment(config, runs):
         table.append((r.name, r.final_loss, r.token_error_rate, r.ratio_at(0.9), r.gamma_max))
         curves += [(r.name, *point) for point in r.sweep]
         loss_rows += [(r.name, i, v) for i, v in enumerate(losses)]
@@ -324,8 +309,7 @@ def cmd_compare(args, parser) -> int:
         "curves.csv": _csv("name,beta,ratio,gamma_max", curves),
         "losses.csv": _csv("name,step,loss", loss_rows),
     }
-    for name, text in files.items():
-        _write_text(os.path.join(args.out, name), text)
+    _write_files(args.out, files)
     return 0
 
 

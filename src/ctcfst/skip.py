@@ -1,14 +1,15 @@
-"""Blank-frame classification, frame skipping, and reduction-ratio analysis.
+"""Blank-frame classification and reduction-ratio analysis.
 
 A frame whose blank probability strictly exceeds the threshold is classified
-as a blank frame and discarded. The frame reduction ratio is the discarded
-fraction; its theoretical maximum for an utterance is ``1 - S/T`` where S is
+as a blank frame (:func:`classify_blank_frames`, the one skip rule): the
+trainer drops it from its keep mask, and the sweep counts it as discarded.
+The frame reduction ratio is the discarded fraction; its theoretical maximum for an utterance is ``1 - S/T`` where S is
 the output token count.
 """
 
 from __future__ import annotations
 
-from typing import Any, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,13 +36,6 @@ def classify_blank_frames(blank_probs, beta: float) -> np.ndarray:
     if not ((probs >= 0.0) & (probs <= 1.0)).all():  # NaN fails both tests
         raise ValueError("blank probabilities must lie in [0, 1]")
     return probs > beta
-
-
-def apply_skip(frames: Sequence[Any], mask: np.ndarray) -> list[tuple[int, Any]]:
-    """Drop masked frames, returning (original index, frame) pairs in order."""
-    if len(frames) != len(mask):
-        raise ValueError(f"length mismatch: {len(frames)} frames vs {len(mask)} mask entries")
-    return [(i, frame) for i, frame in enumerate(frames) if not mask[i]]
 
 
 def gamma_max(token_count: int, frame_count: int) -> float:

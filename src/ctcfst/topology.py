@@ -29,6 +29,11 @@ from .fsa import BLANK, EPSILON, TERMINAL, Fst, compose, connect
 MAX_ENUM_FRAMES = 12
 MAX_ENUM_SYMBOLS = 4
 
+# The most arcs build_topology or build_chain builds. An arc is a Python
+# object of about 120 bytes, so this is about 120 MB of graph; the V=500
+# hard(2) topology has 0.5 M arcs.
+MAX_GRAPH_ARCS = 1_000_000
+
 
 @dataclass(frozen=True)
 class TopologyVariant:
@@ -72,15 +77,25 @@ def _validate_labels(labels: Sequence[int], vocab_size: int | None) -> None:
             raise ValueError(f"label {tok} outside vocabulary range 1..{hi}")
 
 
+def _check_size(arcs: int) -> None:
+    """Refuse a graph of more than ``MAX_GRAPH_ARCS`` arcs, before building it."""
+    if arcs > MAX_GRAPH_ARCS:
+        raise ValueError(f"graph too large: {arcs} arcs, limit {MAX_GRAPH_ARCS}")
+
+
 def build_topology(vocab_size: int, variant: TopologyVariant = STANDARD) -> Fst:
     """Build the topology transducer over blank + ``vocab_size`` symbols.
 
     Input labels are {0 = blank, 1..V}; output labels are {0 = epsilon,
-    1..V}. Arcs entering the final state carry the -1 sentinel.
+    1..V}. Arcs entering the final state carry the -1 sentinel. Raises
+    ``ValueError`` for more than ``MAX_GRAPH_ARCS`` arcs.
     """
     if vocab_size < 1:
         raise ValueError("vocab_size must be >= 1")
     depth, loop = _run_shape(variant)
+    # The hub's V + 2 arcs; per run state a blank, V - 1 label, a terminal and
+    # a next-state or self-loop arc, which a hard run's last state lacks.
+    _check_size(vocab_size + 2 + vocab_size * (depth * (vocab_size + 2) - (loop is None)))
     fst = Fst()
     hub = fst.add_state()  # blank hub, also the start state
     run = [[fst.add_state() for _ in range(depth)] for _ in range(vocab_size)]
@@ -165,9 +180,13 @@ def build_chain(labels: Sequence[int], vocab_size: int, variant: TopologyVariant
     hard run is ``max_run`` states in a row, a standard or soft run one state
     with a self-loop weighted ``-penalty`` (0 for standard). This is
     :func:`build_training_graph` numbered in chain order, which for
-    standard, soft and hard(k <= 2) is the composed graph's own numbering."""
+    standard, soft and hard(k <= 2) is the composed graph's own numbering.
+    Raises ``ValueError`` for more than ``MAX_GRAPH_ARCS`` arcs."""
     if vocab_size < 1:
         raise ValueError("vocab_size must be >= 1")
+    depth, _ = _run_shape(variant)
+    # At most 3 * depth + 2 arcs per label, and 1 + depth + 1 besides.
+    _check_size((len(labels) + 1) * (3 * depth + 2))
     _validate_labels(labels, vocab_size)
     arcs, syms, finals = _chain(labels, variant)
     fst = Fst()

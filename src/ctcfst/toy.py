@@ -2,6 +2,8 @@
 
 Synthetic frame-labeled corpora, a per-frame linear classifier trained with
 the exact CTC loss under any topology variant, and blank-ratio measurement.
+:func:`run_experiment` is the one train-then-evaluate sequence, which
+``train-toy`` runs for one :class:`RunSpec` and ``compare`` for several.
 One home per fact, for the trainer and :func:`evaluate` alike: the batch
 layout is :meth:`SyntheticCorpus.padded`, the forward :meth:`ToyModel.grid`
 and the skip decision :func:`ctcfst.skip.classify_blank_frames`. Losses and
@@ -30,6 +32,11 @@ from .loss import batch_loss, greedy_decode, log_softmax, pack
 from .skip import SWEEP_BETAS, SweepPoint, classify_blank_frames, gamma_max, sweep_thresholds
 from .topology import STANDARD, TopologyVariant
 
+# The most noise a corpus takes: a million times its unit class means, far
+# past any useful corpus and far below where ``noise * standard_normal``
+# could overflow.
+MAX_NOISE = 1e6
+
 
 @dataclass(frozen=True)
 class CorpusConfig:
@@ -50,8 +57,8 @@ class CorpusConfig:
             raise ValueError("feature_dim must be >= vocab_size + 1")
         if self.stretch < 2:
             raise ValueError("stretch must be >= 2")
-        if self.noise < 0:
-            raise ValueError("noise must be >= 0")
+        if not 0 <= self.noise <= MAX_NOISE:  # NaN fails too
+            raise ValueError(f"noise must lie in [0, {MAX_NOISE:g}], got {self.noise:g}")
         if self.num_utterances < 1:
             raise ValueError("num_utterances must be >= 1")
         if not 1 <= self.min_tokens <= self.max_tokens:
@@ -328,31 +335,25 @@ DEFAULT_RUNS = (
 )
 
 
-def compare_variants(
-    train_corpus: SyntheticCorpus,
-    eval_corpus: SyntheticCorpus,
-    runs: Sequence[RunSpec] = DEFAULT_RUNS,
-    steps: int = ExperimentConfig.steps,
-    step_size: float = ExperimentConfig.step_size,
-    warmup_fraction: float = ExperimentConfig.warmup_fraction,
-    betas: Sequence[float] = SWEEP_BETAS,
-) -> list[tuple[ExperimentReport, list[float]]]:
-    """Train every run spec on the same data from the same (zero) init and
-    evaluate each; returns (report, loss curve) pairs in input order."""
-    if len(runs) < 2:
-        raise ValueError("need at least two run specs to compare")
+def run_experiment(
+    config: ExperimentConfig, runs: Sequence[RunSpec]
+) -> list[tuple[ExperimentReport, list[float], ToyModel]]:
+    """The one train-then-evaluate sequence of ``train-toy`` and ``compare``:
+    build ``config.corpora()`` once, then train every run on the train corpus
+    from the same (zero) init and evaluate it on the eval corpus. A run skips
+    frames by its own ``skip_beta``; ``config.skip_beta`` is not read. Returns
+    (report, loss curve, model) per run, in input order."""
+    train_corpus, eval_corpus = config.corpora()
     results = []
     for spec in runs:
         model, losses = train(
             train_corpus,
             spec.variant,
-            steps=steps,
-            step_size=step_size,
+            steps=config.steps,
+            step_size=config.step_size,
             skip_beta=spec.skip_beta,
-            warmup_fraction=warmup_fraction,
+            warmup_fraction=config.warmup_fraction,
         )
-        report = evaluate(
-            model, eval_corpus, betas=betas, name=spec.name, final_loss=losses[-1]
-        )
-        results.append((report, losses))
+        report = evaluate(model, eval_corpus, config.betas, spec.name, losses[-1])
+        results.append((report, losses, model))
     return results

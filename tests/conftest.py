@@ -1,6 +1,9 @@
 import math
 
 import numpy as np
+import pytest
+
+from ctcfst import topology
 
 
 def uniform_grid(frames: int, classes: int) -> np.ndarray:
@@ -11,3 +14,13 @@ def random_grid(rng: np.random.Generator, frames: int, classes: int) -> np.ndarr
     """Row-normalized log-probabilities."""
     logits = rng.standard_normal((frames, classes))
     return logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+
+
+@pytest.fixture
+def no_fst(monkeypatch):
+    """Fail the test if the topology module builds any graph."""
+
+    def refuse():
+        raise AssertionError("an Fst was built")
+
+    monkeypatch.setattr(topology, "Fst", refuse)

@@ -22,7 +22,6 @@ from ctcfst import (
     InfeasibleAlignmentError,
     brute_force_loss,
     build_training_graph,
-    compare_variants,
     ctc_loss,
     ctc_loss_alpha,
     enumerate_alignments,
@@ -33,11 +32,12 @@ from ctcfst import (
     hard,
     intersect_dense,
     iterate_paths,
+    run_experiment,
     soft,
     train,
 )
 from ctcfst.cli import main
-from ctcfst.toy import DEFAULT_RUNS
+from ctcfst.toy import DEFAULT_RUNS, ExperimentConfig
 
 ACCEPTANCE_VARIANTS = (STANDARD, soft(0.05), soft(5.0), hard(1), hard(2))
 
@@ -48,11 +48,10 @@ def report_pass(criterion: int, message: str) -> None:
 
 @pytest.fixture(scope="module")
 def reference_experiment():
-    """Five 2000-step runs on the reference config with a fixed seed."""
-    train_corpus = generate_corpus(CorpusConfig(num_utterances=200, seed=0))
-    eval_corpus = generate_corpus(CorpusConfig(num_utterances=50, seed=1))
-    results = compare_variants(train_corpus, eval_corpus, DEFAULT_RUNS, steps=2000)
-    return {report.name: report for report, _ in results}
+    """Five 2000-step runs on the reference config with a fixed seed: 200
+    train utterances seeded 0, 50 eval utterances seeded 1."""
+    results = run_experiment(ExperimentConfig(steps=2000), DEFAULT_RUNS)
+    return {report.name: report for report, _, _ in results}
 
 
 @pytest.fixture(scope="module")

@@ -82,6 +82,14 @@ class TestLoss:
     def test_missing_file_exits_one(self, capsys):
         assert main(["loss", "--labels", "A", "--grid", "/nonexistent.txt"]) == 1
 
+    def test_huge_hard_bound_runs_as_standard(self, capsys, uniform3):
+        # A bound past the frame count prunes nothing, so nothing large is built.
+        flags = ["loss", "--labels", "A,B", "--grid", uniform3, "--grad"]
+        assert main([*flags, "--variant", "hard", "--k", "99999999999999999999"]) == 0
+        huge = capsys.readouterr()
+        assert main(flags) == 0
+        assert huge == capsys.readouterr()
+
 
 class TestUsageErrors:
     def test_unknown_flag_exits_two(self):
@@ -216,6 +224,20 @@ class TestTopo:
     def test_bad_graph_exits_one(self, capsys, flags, err):
         assert main(["topo", "build", *flags]) == 1
         assert capsys.readouterr() == ("", err)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--vocab", "1", "--variant", "hard", "--k", "99999999999999999999", "--labels", "A"],
+            ["--vocab", "1", "--variant", "hard", "--k", "99999999999999999999"],
+            ["--vocab", "100000"],
+        ],
+        ids=["chain-bound", "topology-bound", "topology-vocab"],
+    )
+    def test_graph_too_large_exits_one_before_building(self, capsys, no_fst, flags):
+        assert main(["topo", "build", *flags]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and err.startswith("error: graph too large: ")
 
     def test_bad_bound_exits_two(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -406,6 +428,7 @@ class TestExperimentCommands:
             ("train-toy", {"steps": None}, "'steps'"),
             ("train-toy", {"steps": True}, "'steps'"),
             ("train-toy", {"noise": "0.2"}, "'noise'"),
+            ("train-toy", {"noise": 1e308}, "noise must lie in [0, 1e+06], got 1e+308"),
             ("train-toy", {"betas": [0.5, 1.0]}, "betas must lie in (0, 1)"),
             ("train-toy", {"betas": []}, "betas must not be empty"),
             ("train-toy", {"train_utterances": 0}, "train_utterances must be >= 1"),
@@ -417,7 +440,7 @@ class TestExperimentCommands:
             ("compare", {"betas": [0.5, 0.99]}, "needs 0.9 in betas"),
         ],
         ids=[
-            "list", "seed-null", "steps-null", "steps-bool", "noise-string",
+            "list", "seed-null", "steps-null", "steps-bool", "noise-string", "noise-huge",
             "betas-range", "betas-empty", "train-utterances-zero", "step-size-negative",
             "warmup-fraction-two", "seed-negative", "compare-seed-negative", "compare-skip-beta",
             "compare-betas-without-0.9",
@@ -458,6 +481,12 @@ class TestExperimentCommands:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "soft penalty must be >= 0" in err
 
+    def test_duplicate_config_key_exits_one_before_any_corpus(self, tmp_path, capsys, no_corpus):
+        config_path = tmp_path / "config.json"
+        config_path.write_text('{"steps": 1, "steps": 2}')
+        assert main(["train-toy", "--config", str(config_path), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: config key 'steps' given twice\n"
+
     def test_single_run_spec_exits_one_before_any_corpus(self, tmp_path, capsys, no_corpus):
         assert main(["compare", "--runs", "standard", "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
@@ -485,6 +514,34 @@ class TestExperimentCommands:
         assert code == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "skip_beta must lie in (0, 1)" in err
+
+
+class TestOneExperimentRunner:
+    """``toy.run_experiment`` is the one train-then-evaluate sequence: each
+    experiment command reaches it once, and it builds the corpora once."""
+
+    def test_each_command_runs_one_experiment(self, tmp_path, monkeypatch):
+        runs, seeds = [], []
+        run_experiment, generate_corpus = toy.run_experiment, toy.generate_corpus
+
+        def run_spy(config, specs):
+            runs.append([spec.name for spec in specs])
+            return run_experiment(config, specs)
+
+        def generate_spy(config):
+            seeds.append(config.seed)
+            return generate_corpus(config)
+
+        monkeypatch.setattr(cli, "run_experiment", run_spy)
+        monkeypatch.setattr(toy, "generate_corpus", generate_spy)
+        tiny = ["--steps", "2", "--train-utterances", "3", "--eval-utterances", "2"]
+        argv = ["train-toy", *tiny, "--variant", "hard", "--k", "2", "--skip-beta", "0.9"]
+        assert main([*argv, "--out", str(tmp_path / "one")]) == 0
+        assert runs == [["hard(2)+skip(0.9)"]] and seeds == [0, 1]
+        argv = ["compare", *tiny, "--runs", "standard,soft:0.5,hard:1"]
+        assert main([*argv, "--out", str(tmp_path / "many")]) == 0
+        assert runs[1:] == [["standard", "soft(0.5)", "hard(1)"]] and seeds[2:] == [0, 1]
+        assert not {"train", "evaluate", "compare_variants"} & set(vars(cli))
 
 
 # The generic FST code and the engine-independent loss oracles: no CLI path

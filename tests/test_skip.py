@@ -4,7 +4,6 @@ import pytest
 from ctcfst import (
     REFERENCE_CORPUS_GAMMA_MAX,
     SWEEP_BETAS,
-    apply_skip,
     classify_blank_frames,
     gamma_max,
     sweep_thresholds,
@@ -60,35 +59,6 @@ class TestClassifyBlankFrames:
             hi = classify_blank_frames(probs, 0.7)
             assert set(np.flatnonzero(hi)) <= set(np.flatnonzero(lo))
             assert hi.mean() <= lo.mean()
-
-
-class TestApplySkip:
-    def test_indices_retained(self):
-        mask = classify_blank_frames([0.99, 0.2, 0.95, 0.5], 0.9)
-        kept = apply_skip(["a", "b", "c", "d"], mask)
-        assert kept == [(1, "b"), (3, "d")]
-
-    def test_identity_when_nothing_skipped(self):
-        mask = classify_blank_frames([0.1, 0.1], 0.9)
-        assert apply_skip([10, 20], mask) == [(0, 10), (1, 20)]
-
-    def test_everything_skipped_is_legal(self):
-        mask = classify_blank_frames([0.99, 0.98], 0.9)
-        assert apply_skip([1, 2], mask) == []
-
-    def test_length_mismatch(self):
-        mask = classify_blank_frames([0.5], 0.9)
-        with pytest.raises(ValueError, match="mismatch"):
-            apply_skip([1, 2], mask)
-
-    def test_order_preserved(self):
-        rng = np.random.default_rng(1)
-        probs = rng.uniform(0, 1, size=30)
-        mask = classify_blank_frames(probs, 0.5)
-        kept = apply_skip(list(range(30)), mask)
-        indices = [i for i, _ in kept]
-        assert indices == sorted(indices)
-        assert all(i == frame for i, frame in kept)
 
 
 class TestGammaMax:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_grid, uniform_grid
+from ctcfst import topology
 from ctcfst import (
     STANDARD,
     TopologyVariant,
@@ -213,6 +214,46 @@ class TestBuildChain:
             build_chain([1], 0)
         with pytest.raises(ValueError, match=r"label 3 outside vocabulary range 1\.\.2"):
             build_chain([1, 3], 2)
+
+
+class TestSizeLimit:
+    """``build_topology`` and ``build_chain`` refuse a graph of more than
+    ``MAX_GRAPH_ARCS`` arcs before building anything."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: build_topology(10**6),
+            lambda: build_topology(500, hard(4)),
+            lambda: build_topology(2, hard(10**20)),
+            lambda: build_chain([1], 1, hard(10**20)),
+            lambda: build_chain([1, 2] * 200_000, 2),
+        ],
+        ids=["vocab", "vocab-and-bound", "topology-bound", "chain-bound", "chain-labels"],
+    )
+    def test_refuses_before_building(self, no_fst, build):
+        with pytest.raises(ValueError, match=r"^graph too large: \d+ arcs, limit 1000000$"):
+            build()
+
+    def test_admits_the_v500_hard2_topology(self, no_fst):
+        with pytest.raises(AssertionError, match="an Fst was built"):
+            build_topology(500, hard(2))
+
+    @pytest.mark.parametrize("variant", [STANDARD, soft(0.5), hard(1), hard(3)], ids=str)
+    def test_topology_count_is_exact(self, monkeypatch, variant):
+        arcs = build_topology(3, variant).num_arcs
+        monkeypatch.setattr(topology, "MAX_GRAPH_ARCS", arcs - 1)
+        with pytest.raises(ValueError, match=f"graph too large: {arcs} arcs"):
+            build_topology(3, variant)
+
+    @pytest.mark.parametrize("variant", [STANDARD, soft(0.5), hard(1), hard(3)], ids=str)
+    def test_chain_count_is_an_upper_bound(self, monkeypatch, variant):
+        for labels in label_sequences(3):
+            arcs = build_chain(labels, 3, variant).num_arcs
+            with monkeypatch.context() as patch:
+                patch.setattr(topology, "MAX_GRAPH_ARCS", arcs - 1)
+                with pytest.raises(ValueError, match="graph too large"):
+                    build_chain(labels, 3, variant)
 
 
 class TestCollapse:

@@ -19,7 +19,6 @@ from ctcfst import (
     TrainingDivergedError,
     Utterance,
     arc_posteriors,
-    compare_variants,
     ctc_loss,
     edit_distance,
     evaluate,
@@ -30,6 +29,7 @@ from ctcfst import (
     intersect_dense,
     log_softmax,
     min_alignment_length,
+    run_experiment,
     soft,
     sweep_thresholds,
     token_means,
@@ -88,8 +88,10 @@ class TestGenerateCorpus:
             CorpusConfig(feature_dim=4)
         with pytest.raises(ValueError):
             CorpusConfig(stretch=1)
-        with pytest.raises(ValueError):
-            CorpusConfig(noise=-0.1)
+        for noise in (-0.1, float("nan"), float("inf"), 2 * ctcfst.toy.MAX_NOISE):
+            with pytest.raises(ValueError, match="noise must lie in"):
+                CorpusConfig(noise=noise)
+        assert CorpusConfig(noise=ctcfst.toy.MAX_NOISE).noise == ctcfst.toy.MAX_NOISE
         with pytest.raises(ValueError, match="seed must be >= 0"):
             CorpusConfig(seed=-1)
 
@@ -501,20 +503,14 @@ class TestThreeHomes:
 
 class TestCompareVariants:
     def test_deterministic_and_monotone(self):
-        train_corpus = generate_corpus(CorpusConfig(num_utterances=20, seed=2))
-        eval_corpus = generate_corpus(CorpusConfig(num_utterances=8, seed=3))
-        runs = [RunSpec(STANDARD), RunSpec(STANDARD)]
-        results = compare_variants(train_corpus, eval_corpus, runs, steps=30)
-        first, second = (report for report, _ in results)
+        config = ExperimentConfig(seed=2, train_utterances=20, eval_utterances=8, steps=30)
+        results = run_experiment(config, [RunSpec(STANDARD), RunSpec(STANDARD)])
+        (first, _, first_model), (second, _, second_model) = results
         assert first.sweep == second.sweep
         assert first.token_error_rate == second.token_error_rate
+        assert np.array_equal(first_model.weights, second_model.weights)
         ratios = [p.ratio for p in first.sweep]
         assert all(b <= a for a, b in zip(ratios, ratios[1:]))
-
-    def test_requires_two_runs(self):
-        corpus = generate_corpus(CorpusConfig(num_utterances=5, seed=2))
-        with pytest.raises(ValueError):
-            compare_variants(corpus, corpus, [RunSpec(STANDARD)], steps=5)
 
     def test_run_spec_names(self):
         assert RunSpec(STANDARD).name == "standard"
