@@ -53,7 +53,10 @@ def _fmt(value: float) -> str:
 
 def _write_text(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    except OSError as exc:  # name the user's path, not the temporary one
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
@@ -257,6 +260,13 @@ def cmd_grad_check(args, parser) -> int:
     return 0
 
 
+def _threshold(raw: str) -> float:
+    try:
+        return float(raw)
+    except ValueError:
+        raise ValueError(f"bad threshold {raw!r} in --sweep") from None
+
+
 def cmd_skip(args, parser) -> int:
     with open(args.probs) as handle:
         grid = parse_matrix(handle.read())
@@ -264,7 +274,7 @@ def cmd_skip(args, parser) -> int:
     if args.beta is not None:
         betas = [args.beta]
     elif args.sweep is not None:
-        betas = [float(b) for b in args.sweep.split(",")]
+        betas = [_threshold(item) for item in args.sweep.split(",")]
     else:
         betas = list(SWEEP_BETAS)
     rows = sweep_thresholds([blank_probs], [args.tokens], betas)

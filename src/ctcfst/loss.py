@@ -5,10 +5,12 @@ One call, :func:`batch_loss`, on one batched forward-backward engine
 losses, occupancy and masked logit gradients. It serves :func:`ctc_loss`, as
 a batch of one with every frame kept, :func:`grad_check`, as one batch of
 bumped grids per frame, and the toy trainer, which masks out its padding and
-skipped frames. Three independent implementations cross-check it in the
-tests: the generic lattice of :mod:`ctcfst.lattice`, the classic alpha
-recursion over the 2U+1 expanded label sequence (standard topology only) and
-a brute-force sum over enumerated alignments (all variants, small instances).
+skipped frames. The engine lays each batch out ragged, so its work is the sum
+over graphs of states times kept frames, whatever the padding. Three
+independent implementations cross-check it in the tests: the generic lattice
+of :mod:`ctcfst.lattice`, the classic alpha recursion over the 2U+1 expanded
+label sequence (standard topology only) and a brute-force sum over
+enumerated alignments (all variants, small instances).
 """
 
 from __future__ import annotations
@@ -31,11 +33,11 @@ class GraphBatch:
     All arcs entering a state carry one input symbol, so a state scores its
     symbol's grid entry at each frame: the state-emitting recursion of Graves
     et al. 2006 (section 4.1), generalised from the 2U+1 chain to soft and
-    hard runs. Arrays are padded to the largest graph with arcless states and
-    -inf arcs. Arcs are stored arc-major, one contiguous (B, S) slot per arc
-    index, and their endpoints are flat indices into a (batch, states) array.
-    Each recursion step gathers all slots at once and log-adds them in one
-    max-shifted sum over the slot axis (:func:`_log_add_arcs`).
+    hard runs. The arrays are stored padded to the largest graph, with arcs
+    arc-major: one (B, S) slot per arc index, whose endpoints are flat
+    indices into a (batch, states) array. A padded slot points at its own
+    state with weight -inf. :meth:`total_and_occupancy` lays each call's
+    graphs out ragged, so padded states are never stepped.
     """
 
     sym: np.ndarray  # (B, S) input symbol of every arc entering the state
@@ -44,54 +46,86 @@ class GraphBatch:
     out_dst: np.ndarray  # (K, B, S) flat destination of the k-th arc leaving it
     out_w: np.ndarray  # (K, B, S) its weight
     fin: np.ndarray  # (B, S) final weight of the state, -inf if it is not final
-    onehot: np.ndarray  # (B, S, C) state-to-symbol map
+    states: np.ndarray  # (B,) state count of each graph
 
     def total_and_occupancy(self, grids, keep) -> tuple[np.ndarray, np.ndarray]:
         """Log-total per graph and (B, T, C) symbol occupancy of (B, T, C) grids.
 
         ``keep`` is a (B, T) boolean mask of the frames each graph consumes. A
-        dropped frame, whether past an utterance's end or skipped, is an
-        identity step: alpha and beta pass through it unchanged, its grid row
-        has no effect and its occupancy is 0. So each row's kept frames are
-        moved to the front in order, and the recursion runs over the largest
-        kept count only. Raises :class:`NoPathError` if a graph has no path
-        through its kept frames.
+        dropped frame, whether past an utterance's end or skipped, has no
+        effect on the graph's total and its occupancy is 0, so each graph
+        steps only through its own kept frames, in order, and only over its
+        own states. The graphs are ordered by kept count and their states
+        laid end to end; step t then runs over the prefix of states whose
+        graphs keep more than t frames, and stores one cell per (step, live
+        state): the work is the sum over graphs of states times kept frames.
+        A graph's total is read after its last kept frame, where its beta is
+        seeded with the final weights. Raises :class:`NoPathError` if a graph
+        has no path through its kept frames.
         """
-        batch, frames = keep.shape
+        frames = keep.shape[1]
         kept = keep.sum(axis=1)
-        steps = int(kept.max(initial=0))
-        # Flat (batch * frames) index of each graph's kept frames, in order;
-        # past its own kept count a graph runs identity steps on dropped ones.
-        at = np.argsort(~keep, axis=1, kind="stable")[:, :steps]
-        at += np.arange(batch)[:, None] * frames
-        live = np.arange(steps) < kept[:, None]
-        drop = ~live.T[:, :, None]
-        emit = grids.reshape(batch * frames, -1)[at.T[:, :, None], self.sym]  # (F, B, S)
-        alpha = np.full((steps + 1,) + self.sym.shape, -np.inf)
-        alpha[0, :, 0] = 0.0
+        order = np.argsort(-kept, kind="stable")
+        kept, states = kept[order], self.states[order]
+        # The graphs' states end to end in ``order``: the n-th sits at flat
+        # index node[n] of the padded arrays, and ``flat`` maps it back.
+        nodes = int(states.sum())
+        starts = np.cumsum(states) - states
+        node = np.arange(nodes) + np.repeat(order * self.sym.shape[1] - starts, states)
+        flat = np.zeros(self.sym.size, dtype=np.intp)
+        flat[node] = np.arange(nodes)
+        in_src, in_w, out_dst, out_w = (
+            arcs.reshape(len(arcs), -1)[:, node]
+            for arcs in (self.in_src, self.in_w, self.out_dst, self.out_w)
+        )
+        in_src, out_dst = flat[in_src], flat[out_dst]
+        sym, fin = self.sym.ravel()[node], self.fin.ravel()[node]
+        # Step t runs the graphs that keep more than t frames, a prefix of
+        # ``order``, so a prefix of the states. alpha and beta are stored in
+        # blocks: block 0 holds every state, block t + 1 the states live at
+        # step t. A cell is one (step, live state) entry.
+        live = np.arange(kept[0])[:, None] < kept  # (steps, B)
+        step_of, graph_of = np.nonzero(live)  # the live (step, graph) pairs, time-major
+        count, width = states[graph_of], live @ states
+        bound = np.cumsum(np.concatenate(([0, nodes], width)))
+        bounds = bound.tolist()
+        end = bound[np.repeat(kept, states)] + np.arange(nodes)  # after the last kept frame
+        # Each cell's flat index into the (B, T, C) grids: its graph's kept
+        # frame at its step, then its state's symbol.
+        rows = order[graph_of]
+        frame = rows * frames + np.argsort(~keep, axis=1, kind="stable")[rows, step_of]
+        cell = np.repeat(frame * grids.shape[2], count)
+        # The leading 0 keeps the list non-empty when no graph keeps a frame.
+        cell += np.concatenate([sym[:n] for n in [0, *width.tolist()]])
+        emit = grids.take(cell)
+        alpha = np.full(bounds[-1], -np.inf)
+        alpha[starts] = 0.0
         # The only NaN is a dead state's shifted slot, -inf - -inf, in
         # _log_add_arcs; its clamp absorbs it.
         with np.errstate(invalid="ignore"):
-            for t in range(steps):
-                _log_add_arcs(alpha[t].ravel(), self.in_src, self.in_w, alpha[t + 1])
-                alpha[t + 1] += emit[t]
-                np.copyto(alpha[t + 1], alpha[t], where=drop[t])
-        total = np.logaddexp.reduce(alpha[steps] + self.fin, axis=1)
+            for t in range(len(width)):
+                lo, hi = bounds[t + 1], bounds[t + 2]
+                out = alpha[lo:hi]
+                _log_add_arcs(alpha[bounds[t] : lo], in_src[:, : hi - lo], in_w[:, : hi - lo], out)
+                out += emit[lo - nodes : hi - nodes]
+        total = np.logaddexp.reduceat(alpha[end] + fin, starts)
         # Checked before occupancy is formed, where -inf - -inf would be NaN.
         if (total == -np.inf).any():
             raise NoPathError("a graph in the batch has no path through its kept frames")
         beta = np.empty_like(alpha)
-        beta[steps] = self.fin
+        beta[end] = fin
         with np.errstate(invalid="ignore"):  # as in the forward loop
-            for t in range(steps - 1, -1, -1):
-                _log_add_arcs((beta[t + 1] + emit[t]).ravel(), self.out_dst, self.out_w, beta[t])
-                np.copyto(beta[t], beta[t + 1], where=drop[t])
-        post = np.exp(alpha[1:] + beta[1:] - total[:, None])
-        occupancy = np.zeros((batch * frames, self.onehot.shape[2]))
-        occupancy[at] = np.where(
-            live[:, :, None], np.matmul(post.transpose(1, 0, 2), self.onehot), 0.0
-        )
-        return total, occupancy.reshape(batch, frames, -1)
+            for t in range(len(width) - 1, 0, -1):  # not beta[0]: no occupancy reads it
+                lo, hi = bounds[t + 1], bounds[t + 2]
+                src = beta[lo:hi] + emit[lo - nodes : hi - nodes]
+                out = beta[bounds[t] : bounds[t] + hi - lo]
+                _log_add_arcs(src, out_dst[:, : hi - lo], out_w[:, : hi - lo], out)
+        post = alpha[nodes:]
+        post += beta[nodes:]
+        post -= np.repeat(total[graph_of], count)
+        np.exp(post, out=post)
+        occupancy = np.bincount(cell, post, minlength=grids.size).reshape(grids.shape)
+        return total[np.argsort(order)], occupancy
 
 
 def _log_add_arcs(src, index, weight, out) -> None:
@@ -117,7 +151,7 @@ def _log_add_arcs(src, index, weight, out) -> None:
 
 def _padded(arcs: list[list[tuple[int, float]]], shape) -> tuple[np.ndarray, np.ndarray]:
     width = max(1, max(len(lst) for lst in arcs))
-    index = np.zeros((width, len(arcs)), dtype=np.intp)
+    index = np.tile(np.arange(len(arcs)), (width, 1))  # padding: the state itself
     weight = np.full((width, len(arcs)), -np.inf)
     for i, lst in enumerate(arcs):
         for j, (k, w) in enumerate(lst):
@@ -151,8 +185,8 @@ def pack(
             outs[base + src].append((base + dst, weight))
     in_src, in_w = _padded(ins, (batch, states))
     out_dst, out_w = _padded(outs, (batch, states))
-    onehot = (sym[:, :, None] == np.arange(num_classes)).astype(float)
-    return GraphBatch(sym, in_src, in_w, out_dst, out_w, fin, onehot)
+    counts = np.array([len(syms) for _, syms, _ in chains])
+    return GraphBatch(sym, in_src, in_w, out_dst, out_w, fin, counts)
 
 
 @dataclass
@@ -295,6 +329,9 @@ def grad_check(
         raise ValueError(f"epsilon must be a finite positive number, got {epsilon:g}")
     logits = np.asarray(logits, dtype=float)
     analytic = ctc_loss(labels, log_softmax(logits), variant).grad_logits
+    with np.errstate(over="ignore"):
+        if not np.isfinite(logits + epsilon - 2 * epsilon).all():
+            raise ValueError(f"epsilon {epsilon:g} bumps a logit past the float range")
     frames, classes = logits.shape
     batch = pack([labels] * 2 * classes, variant, frames, classes)
     keep = np.ones((2 * classes, frames), dtype=bool)

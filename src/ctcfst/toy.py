@@ -10,8 +10,8 @@ and the skip decision :func:`ctcfst.skip.classify_blank_frames`. Losses and
 logit gradients come from :func:`ctcfst.loss.batch_loss` over the CTC chains,
 packed once. A frame past an utterance's end and a frame skipped by
 ``skip_beta`` are both left out of the engine's keep mask, and the engine
-steps only through the most frames any utterance keeps, so skipping makes a
-training step cheaper.
+steps each utterance only through its own kept frames over its own states,
+so padding costs the recursion nothing and skipping makes a step cheaper.
 
 Token runs are emitted with an onset/sustain amplitude envelope: the first
 frame of a run carries the full class mean, later frames a scaled-down copy.

@@ -270,6 +270,15 @@ class TestGradCheckCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "epsilon must be a finite positive number" in err
 
+    @pytest.mark.parametrize("epsilon", ["1e308", "9e307"])
+    def test_epsilon_that_overflows_a_bumped_logit_exits_one(self, capsys, uniform3, epsilon):
+        # The logits are finite; the bump by 2 epsilon is not.
+        argv = ["grad-check", "--labels", "A", "--logits", uniform3, "--epsilon", epsilon]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"epsilon {float(epsilon):g}" in err
+        assert "logits must be finite" not in err
+
 
 class TestSkipCommand:
     def test_sweep_csv(self, tmp_path, capsys):
@@ -316,6 +325,33 @@ class TestSkipCommand:
         )
         assert code == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("sweep, bad", [("0.5,", ""), ("0.5,x", "x"), (",0.9", "")])
+    def test_bad_sweep_threshold_exits_one(self, tmp_path, capsys, sweep, bad):
+        path = tmp_path / "probs.txt"
+        path.write_text(format_matrix(np.full((4, 2), math.log(0.5))))
+        assert main(["skip", "analyze", "--probs", str(path), "--sweep", sweep]) == 1
+        assert capsys.readouterr().err == f"error: bad threshold {bad!r} in --sweep\n"
+
+
+class TestOutputPath:
+    """A write into a missing directory names the path given, not the
+    temporary file it is written through."""
+
+    @pytest.mark.parametrize(
+        "argv", [["skip", "analyze", "--probs", "PROBS"], ["topo", "build", "--vocab", "2"]],
+        ids=["skip", "topo"],
+    )
+    def test_missing_directory_names_the_out_path(self, tmp_path, capsys, argv):
+        probs = tmp_path / "probs.txt"
+        probs.write_text(format_matrix(np.full((4, 2), math.log(0.5))))
+        out = tmp_path / "missing" / "x.csv"
+        argv = [str(probs) if arg == "PROBS" else arg for arg in argv]
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "No such file or directory" in err
+        assert err.rstrip().endswith(repr(str(out))) and ".tmp-" not in err
+        assert not (tmp_path / "missing").exists()
 
 
 class TestExperimentCommands:

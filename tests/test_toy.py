@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ctcfst.skip
@@ -179,6 +179,18 @@ def masked_batches(draw, feasible=True):
     return labels_list, grids, masks
 
 
+def _ragged_batch():
+    """Rows ragged in both states and kept frames: a 1-label row of 3
+    frames, a 10-label row of 40 and an empty-label row of 6, all kept."""
+    rng = np.random.default_rng(21)
+    labels_list = [[2], [1, 2, 2, 3, 1, 1, 3, 2, 3, 3], []]
+    grids = [log_softmax(5 * rng.standard_normal((t, CLASSES))) for t in (3, 40, 6)]
+    return labels_list, grids, [np.ones(len(grid), dtype=bool) for grid in grids]
+
+
+RAGGED_BATCH = _ragged_batch()
+
+
 def assert_engine_matches_lattice(labels_list, grids, variant):
     batch, padded, keep = packed_batch(labels_list, grids, variant)
     total, occupancy = batch.total_and_occupancy(padded, keep)
@@ -258,6 +270,7 @@ class TestGraphBatchEngine:
     )
     @ENGINE_SETTINGS
     @given(batch=masked_batches())
+    @example(batch=RAGGED_BATCH)
     def test_rows_match_each_row_packed_alone(self, variant, batch):
         # Alone, a row runs only its own kept frames: no other row's frame
         # count, states or arcs may change a bit of its result.
@@ -297,6 +310,49 @@ class TestGraphBatchEngine:
             assert np.array_equal(got, want)
         below, _, _ = packed_batch(labels_list, grids, hard(6))
         assert below.sym.shape == (3, 1 + 3 * (6 + 1))
+
+    @pytest.mark.parametrize("variant", [STANDARD, soft(0.3), hard(1), hard(2)], ids=str)
+    @ENGINE_SETTINGS
+    @given(batch=masked_batches(), data=st.data())
+    def test_shuffling_the_rows_permutes_the_results_bit_for_bit(self, variant, batch, data):
+        # The engine orders the rows by kept count itself; the caller's
+        # order must not change a bit of any row's result.
+        labels_list, grids, masks = batch
+        perm = data.draw(st.permutations(range(len(grids))))
+        engine, padded, keep = packed_batch(labels_list, grids, variant, masks)
+        total, occupancy = engine.total_and_occupancy(padded, keep)
+        shuffled = pack([labels_list[n] for n in perm], variant, padded.shape[1], CLASSES)
+        got_total, got_occupancy = shuffled.total_and_occupancy(padded[perm], keep[perm])
+        assert np.array_equal(got_total, total[perm])
+        assert np.array_equal(got_occupancy, occupancy[perm])
+
+    # The second batch keeps no frame at all, so the engine runs no step.
+    @pytest.mark.parametrize("labels_list", [[[1], [1, 1], [2, 3, 3, 2], []], [[]]])
+    @pytest.mark.parametrize("variant", [STANDARD, soft(0.3), hard(1), hard(2)], ids=str)
+    def test_rows_keeping_exactly_the_minimum_alignment_length(self, variant, labels_list):
+        # Then one alignment is left: each label once, a blank only between
+        # repeats. Its score is the left-to-right sum of its kept grid
+        # entries, and its occupancy is one-hot on it.
+        rng = np.random.default_rng(22)
+        grids, masks = [], []
+        for labels in labels_list:
+            shortest = min_alignment_length(labels)
+            grids.append(log_softmax(5 * rng.standard_normal((shortest + 3, CLASSES))))
+            mask = np.zeros(shortest + 3, dtype=bool)
+            mask[rng.choice(shortest + 3, shortest, replace=False)] = True
+            masks.append(mask)
+        engine, padded, keep = packed_batch(labels_list, grids, variant, masks)
+        total, occupancy = engine.total_and_occupancy(padded, keep)
+        for n, (labels, grid, mask) in enumerate(zip(labels_list, grids, masks)):
+            path = []
+            for tok, prev in zip(labels, [None, *labels]):
+                path += [0, tok] if tok == prev else [tok]
+            scores = grid[mask][np.arange(len(path)), path]
+            assert total[n] == np.cumsum([0.0, *scores])[-1]
+            kept_rows = occupancy[n][keep[n]]
+            assert kept_rows[np.arange(len(path)), path] == pytest.approx(1.0, abs=1e-12)
+            kept_rows[np.arange(len(path)), path] = 0.0
+            assert not kept_rows.any() and not occupancy[n][~keep[n]].any()
 
 
 def masked_losses(batch, variant):
@@ -346,6 +402,47 @@ class TestInvariants:
         bounds = data.draw(st.lists(st.integers(1, t_max + 1), min_size=2, max_size=2))
         tight, loose = (masked_losses(batch, hard(k)) for k in sorted(bounds))
         assert no_less(tight, loose)
+
+
+class TestRaggedCost:
+    """A timing-free guard on the engine's cost: each direction hands
+    ``_log_add_arcs`` one slot cell per arc slot, state and kept frame of
+    each graph, and none for padded states or dropped frames."""
+
+    @pytest.mark.parametrize("variant", [STANDARD, soft(0.3), hard(1), hard(2)], ids=str)
+    def test_slot_cells_are_slots_times_states_times_kept_frames(self, variant, monkeypatch):
+        corpus = generate_corpus(CorpusConfig(num_utterances=40, seed=3))
+        labels_list = [u.labels for u in corpus.utterances]
+        feats, real = corpus.padded()
+        rng = np.random.default_rng(4)
+        keep = real & (rng.random(real.shape) < 0.7)
+        min_lens = np.array([min_alignment_length(labels) for labels in labels_list])
+        short = keep.sum(axis=1) < min_lens
+        keep[short] = real[short]
+        classes = corpus.config.vocab_size + 1
+        grids = log_softmax(rng.standard_normal(real.shape + (classes,)))
+        engine = pack(labels_list, variant, real.shape[1], classes)
+
+        cells = []
+        log_add_arcs = ctcfst.loss._log_add_arcs
+
+        def spy(src, index, weight, out):
+            cells.append(index.size)
+            log_add_arcs(src, index, weight, out)
+
+        monkeypatch.setattr(ctcfst.loss, "_log_add_arcs", spy)
+        engine.total_and_occupancy(grids, keep)
+        # A chain has a blank state, then per label a run of one state
+        # (hard: max_run states) and a blank state.
+        run = variant.max_run if variant.kind == "hard" else 1
+        states = np.array([1 + (run + 1) * len(labels) for labels in labels_list])
+        kept = keep.sum(axis=1)
+        steps = int(kept.max())
+        # Forward runs every kept frame; backward every one but the first,
+        # whose beta no occupancy reads.
+        assert len(cells) == 2 * steps - 1
+        assert sum(cells[:steps]) == len(engine.in_src) * (states * kept).sum()
+        assert sum(cells[steps:]) == len(engine.out_dst) * (states * (kept - 1)).sum()
 
 
 class TestTrain:
