@@ -82,11 +82,11 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _parse_labels(raw: str) -> tuple[list[int], bool]:
-    """Parse a CSV label list of token ids or single letters (A=1, B=2...)."""
+    """Parse a CSV label list of token ids or single ASCII letters (A=1, B=2...)."""
     if not raw:
         return [], False
     items = [item.strip() for item in raw.split(",")]
-    letters = all(len(item) == 1 and item.isalpha() for item in items)
+    letters = all(len(item) == 1 and item.isascii() and item.isalpha() for item in items)
     labels = []
     for item in items:
         if letters:

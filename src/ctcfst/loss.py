@@ -15,6 +15,7 @@ enumerated alignments (all variants, small instances).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,19 +34,18 @@ class GraphBatch:
     All arcs entering a state carry one input symbol, so a state scores its
     symbol's grid entry at each frame: the state-emitting recursion of Graves
     et al. 2006 (section 4.1), generalised from the 2U+1 chain to soft and
-    hard runs. The arrays are stored padded to the largest graph, with arcs
-    arc-major: one (B, S) slot per arc index, whose endpoints are flat
-    indices into a (batch, states) array. A padded slot points at its own
-    state with weight -inf. :meth:`total_and_occupancy` lays each call's
-    graphs out ragged, so padded states are never stepped.
+    hard runs. The graphs' N states lie end to end in batch order, and the
+    arcs are stored arc-major: one (N,) slot per arc index, holding the
+    offset of the arc's other end from the state, so the offsets hold however
+    a call reorders whole graphs. A padded slot is offset 0 with weight -inf.
     """
 
-    sym: np.ndarray  # (B, S) input symbol of every arc entering the state
-    in_src: np.ndarray  # (J, B, S) flat source of the j-th arc entering the state
-    in_w: np.ndarray  # (J, B, S) its weight
-    out_dst: np.ndarray  # (K, B, S) flat destination of the k-th arc leaving it
-    out_w: np.ndarray  # (K, B, S) its weight
-    fin: np.ndarray  # (B, S) final weight of the state, -inf if it is not final
+    sym: np.ndarray  # (N,) input symbol of every arc entering the state
+    in_src: np.ndarray  # (J, N) source offset of the j-th arc entering the state
+    in_w: np.ndarray  # (J, N) its weight
+    out_dst: np.ndarray  # (K, N) destination offset of the k-th arc leaving it
+    out_w: np.ndarray  # (K, N) its weight
+    fin: np.ndarray  # (N,) final weight of the state, -inf if it is not final
     states: np.ndarray  # (B,) state count of each graph
 
     def total_and_occupancy(self, grids, keep) -> tuple[np.ndarray, np.ndarray]:
@@ -67,19 +67,15 @@ class GraphBatch:
         kept = keep.sum(axis=1)
         order = np.argsort(-kept, kind="stable")
         kept, states = kept[order], self.states[order]
-        # The graphs' states end to end in ``order``: the n-th sits at flat
-        # index node[n] of the padded arrays, and ``flat`` maps it back.
+        # The graphs' states end to end in ``order``: the n-th is packed
+        # state node[n].
         nodes = int(states.sum())
         starts = np.cumsum(states) - states
-        node = np.arange(nodes) + np.repeat(order * self.sym.shape[1] - starts, states)
-        flat = np.zeros(self.sym.size, dtype=np.intp)
-        flat[node] = np.arange(nodes)
-        in_src, in_w, out_dst, out_w = (
-            arcs.reshape(len(arcs), -1)[:, node]
-            for arcs in (self.in_src, self.in_w, self.out_dst, self.out_w)
-        )
-        in_src, out_dst = flat[in_src], flat[out_dst]
-        sym, fin = self.sym.ravel()[node], self.fin.ravel()[node]
+        packed = np.cumsum(self.states) - self.states
+        node = np.arange(nodes) + np.repeat(packed[order] - starts, states)
+        in_src, out_dst = (arcs[:, node] + np.arange(nodes) for arcs in (self.in_src, self.out_dst))
+        in_w, out_w = self.in_w[:, node], self.out_w[:, node]
+        sym, fin = self.sym[node], self.fin[node]
         # Step t runs the graphs that keep more than t frames, a prefix of
         # ``order``, so a prefix of the states. alpha and beta are stored in
         # blocks: block 0 holds every state, block t + 1 the states live at
@@ -149,14 +145,17 @@ def _log_add_arcs(src, index, weight, out) -> None:
     out += top
 
 
-def _padded(arcs: list[list[tuple[int, float]]], shape) -> tuple[np.ndarray, np.ndarray]:
-    width = max(1, max(len(lst) for lst in arcs))
-    index = np.tile(np.arange(len(arcs)), (width, 1))  # padding: the state itself
-    weight = np.full((width, len(arcs)), -np.inf)
-    for i, lst in enumerate(arcs):
-        for j, (k, w) in enumerate(lst):
-            index[j, i], weight[j, i] = k, w
-    return index.reshape(width, *shape), weight.reshape(width, *shape)
+def _slots(head, tail, weight, nodes) -> tuple[np.ndarray, np.ndarray]:
+    """Arc-major (J, nodes) offsets ``tail - head`` and weights of the arcs,
+    slotted by head state in their given order; padding is offset 0, -inf."""
+    order = np.argsort(head, kind="stable")
+    head, tail, weight = head[order], tail[order], weight[order]
+    slot = np.arange(len(head)) - np.searchsorted(head, head)  # rank within the head's arcs
+    offset = np.zeros((slot.max() + 1, nodes), dtype=np.intp)
+    weights = np.full(offset.shape, -np.inf)
+    offset[slot, head] = tail - head
+    weights[slot, head] = weight
+    return offset, weights
 
 
 def pack(
@@ -165,28 +164,27 @@ def pack(
     """Pack the CTC chains of ``label_seqs`` for (num_frames, num_classes) grids.
 
     The chains are :func:`ctcfst.topology._chain`'s for ``num_frames``
-    frames; the tests hold them to :func:`build_training_graph`. Raises
-    ``ValueError`` for a label outside 1..``num_classes - 1``.
+    frames; the tests hold them to :func:`build_training_graph`. A state's
+    in-arcs take slots by increasing source, its out-arcs by increasing
+    destination. Raises ``ValueError`` for a label outside 1..``num_classes - 1``.
     """
     for labels in label_seqs:
         _validate_labels(labels, num_classes - 1)
-    chains = [_chain(labels, variant, num_frames) for labels in label_seqs]
-    batch, states = len(chains), max(len(syms) for _, syms, _ in chains)
-    sym = np.zeros((batch, states), dtype=np.intp)
-    fin = np.full((batch, states), -np.inf)
-    ins: list[list[tuple[int, float]]] = [[] for _ in range(batch * states)]
-    outs: list[list[tuple[int, float]]] = [[] for _ in range(batch * states)]
-    for n, (arcs, syms, finals) in enumerate(chains):
-        base = n * states
-        sym[n, : len(syms)] = syms
-        fin[n, finals] = 0.0
-        for src, dst, weight in arcs:
-            ins[base + dst].append((base + src, weight))
-            outs[base + src].append((base + dst, weight))
-    in_src, in_w = _padded(ins, (batch, states))
-    out_dst, out_w = _padded(outs, (batch, states))
-    counts = np.array([len(syms) for _, syms, _ in chains])
-    return GraphBatch(sym, in_src, in_w, out_dst, out_w, fin, counts)
+    arcs, syms, finals = zip(*(_chain(labels, variant, num_frames) for labels in label_seqs))
+    states = np.array([len(s) for s in syms])
+    base = np.cumsum(states) - states
+    nodes = int(states.sum())
+    # ``_chain`` sorts its arcs by (source, destination), and the slots keep that order.
+    src, dst, weight = np.array(list(itertools.chain.from_iterable(arcs))).T
+    shift = np.repeat(base, [len(a) for a in arcs])
+    src, dst = src.astype(np.intp) + shift, dst.astype(np.intp) + shift
+    in_src, in_w = _slots(dst, src, weight, nodes)
+    out_dst, out_w = _slots(src, dst, weight, nodes)
+    sym = np.fromiter(itertools.chain.from_iterable(syms), np.intp, nodes)
+    fin = np.full(nodes, -np.inf)
+    final = np.fromiter(itertools.chain.from_iterable(finals), np.intp)
+    fin[final + np.repeat(base, [len(f) for f in finals])] = 0.0
+    return GraphBatch(sym, in_src, in_w, out_dst, out_w, fin, states)
 
 
 @dataclass
@@ -363,7 +361,8 @@ def format_matrix(matrix) -> str:
 
 
 def parse_matrix(text: str) -> np.ndarray:
-    """Parse the matrix text format produced by :func:`format_matrix`."""
+    """Parse the matrix text format produced by :func:`format_matrix`. A
+    matrix needs at least one row and one column."""
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise ValueError("empty matrix file")
@@ -371,11 +370,11 @@ def parse_matrix(text: str) -> np.ndarray:
     if len(header) != 2 or not all(token.isdecimal() for token in header):
         raise ValueError(f"malformed matrix header: {lines[0]!r}")
     rows, cols = int(header[0]), int(header[1])
+    if rows == 0 or cols == 0:
+        raise ValueError(f"matrix needs at least one row and one column, got {rows} x {cols}")
     body = lines[1:]
     if len(body) != rows:
         raise ValueError(f"expected {rows} matrix rows, found {len(body)}")
-    if not body:
-        return np.empty((0, cols))
     try:
         out = np.loadtxt(body, comments=None, ndmin=2)
     except ValueError:

@@ -3,8 +3,8 @@
 A frame whose blank probability strictly exceeds the threshold is classified
 as a blank frame (:func:`classify_blank_frames`, the one skip rule): the
 trainer drops it from its keep mask, and the sweep counts it as discarded.
-The frame reduction ratio is the discarded fraction; its theoretical maximum for an utterance is ``1 - S/T`` where S is
-the output token count.
+The frame reduction ratio is the discarded fraction; its theoretical maximum
+for an utterance is ``1 - S/T`` where S is the output token count.
 """
 
 from __future__ import annotations

@@ -334,6 +334,48 @@ class TestSkipCommand:
         assert capsys.readouterr().err == f"error: bad threshold {bad!r} in --sweep\n"
 
 
+class TestBadInputExitsOne:
+    @pytest.mark.parametrize("header", ["0 0", "0 3", "2 0"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["loss", "--labels", "A", "--grid"],
+            ["grad-check", "--labels", "A", "--logits"],
+            ["skip", "analyze", "--probs"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_matrix_without_entries_exits_one(self, tmp_path, capsys, argv, header):
+        path = tmp_path / "empty.txt"
+        path.write_text(f"{header}\n")
+        assert main([*argv, str(path)]) == 1
+        rows, cols = header.split()
+        assert capsys.readouterr().err == (
+            f"error: matrix needs at least one row and one column, got {rows} x {cols}\n"
+        )
+
+    @pytest.mark.parametrize("label", ["\u00df", "\ufb00", "\u00e9", "\u00c9", "\u0394"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["topo", "build", "--vocab", "30", "--labels"],
+            ["align", "--frames", "2", "--labels"],
+            ["loss", "--grid", "{grid}", "--labels"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_non_ascii_letter_label_is_a_bad_label(self, capsys, uniform3, argv, label):
+        # Only A-Z and a-z are letter labels; any other item must parse as an integer.
+        assert main([arg.format(grid=uniform3) for arg in argv] + [label]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: bad label {label!r}: use integers or single letters\n"
+
+    def test_ascii_letters_map_a_to_1_and_z_to_26(self, capsys):
+        assert main(["topo", "build", "--vocab", "26", "--labels", "a,Z"]) == 0
+        assert capsys.readouterr().out == fst_to_text(ctcfst.build_chain([1, 26], 26))
+
+
 class TestOutputPath:
     """A write into a missing directory names the path given, not the
     temporary file it is written through."""

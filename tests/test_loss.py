@@ -24,6 +24,7 @@ from ctcfst import (
     soft,
 )
 from ctcfst.loss import _log_add_arcs, batch_loss, pack
+from ctcfst.topology import _chain
 
 ALL_VARIANTS = (STANDARD, soft(0.05), soft(5.0), hard(1), hard(2))
 
@@ -249,6 +250,11 @@ class TestMatrixFormat:
         with pytest.raises(ValueError, match="malformed matrix header"):
             parse_matrix(f"{header}\n0 0 0\n0 0 0\n")
 
+    @pytest.mark.parametrize("text", ["0 0\n", "0 3\n", "2 0\n\n\n"])
+    def test_matrix_needs_a_row_and_a_column(self, text):
+        with pytest.raises(ValueError, match="^matrix needs at least one row and one column"):
+            parse_matrix(text)
+
     def test_row_width_checked(self):
         with pytest.raises(ValueError, match="values"):
             parse_matrix("1 3\n0 0\n")
@@ -407,6 +413,45 @@ class TestLogAddArcs:
         total, occupancy = batch.total_and_occupancy(grids, np.ones((2, 3), bool))
         assert total == pytest.approx(3 * math.log(1 / 3), abs=1e-12)
         assert np.array_equal(occupancy[:, :, 0], np.ones((2, 3)))
+
+
+class TestPackedFormat:
+    """Which arc ``pack`` puts in which slot: the slot order sets the last
+    bits of every sum ``_log_add_arcs`` makes, so it is pinned here."""
+
+    LABELS = [[1, 2, 2], [], [3], [2, 2, 2, 1], [1, 3, 1, 3]]
+
+    # hard(9) at 9 frames packs the standard chain.
+    @pytest.mark.parametrize(
+        "variant", [STANDARD, soft(0.5), hard(1), hard(2), hard(3), hard(9)], ids=str
+    )
+    def test_slots_follow_the_chain_arcs_in_order(self, variant):
+        frames = 9
+        batch = pack(self.LABELS, variant, frames, 4)
+        base = 0
+        for labels in self.LABELS:
+            arcs, syms, finals = _chain(labels, variant, frames)
+            size = len(syms)
+            for state in range(size):
+                n = base + state
+                ins = [(src - dst, w) for src, dst, w in arcs if dst == state]
+                outs = [(dst - src, w) for src, dst, w in arcs if src == state]
+                for offsets, weights, want in (
+                    (batch.in_src, batch.in_w, ins), (batch.out_dst, batch.out_w, outs)
+                ):
+                    real = slice(len(want))
+                    got = list(zip(offsets[real, n].tolist(), weights[real, n].tolist()))
+                    assert got == want  # _chain's arcs, by increasing source or destination
+                    assert (offsets[len(want) :, n] == 0).all()
+                    assert (weights[len(want) :, n] == -np.inf).all()
+                    assert ((0 <= state + offsets[:, n]) & (state + offsets[:, n] < size)).all()
+            assert batch.sym[base : base + size].tolist() == syms
+            fin = np.full(size, -np.inf)
+            fin[finals] = 0.0
+            assert np.array_equal(batch.fin[base : base + size], fin)
+            base += size
+        assert batch.states.tolist() == [len(_chain(x, variant, frames)[1]) for x in self.LABELS]
+        assert batch.sym.shape == batch.fin.shape == (base,)
 
 
 class TestOneLossHome:

@@ -303,13 +303,13 @@ class TestGraphBatchEngine:
         grids = [log_softmax(rng.standard_normal((t, CLASSES))) for t in (7, 5, 3)]
         standard, padded, keep = packed_batch(labels_list, grids, STANDARD)
         capped, _, _ = packed_batch(labels_list, grids, hard(7 + over))
-        assert capped.sym.shape == standard.sym.shape == (3, 1 + 3 * 2)
+        assert capped.states.tolist() == standard.states.tolist() == [1 + 3 * 2, 1 + 2, 1]
         for got, want in zip(
             capped.total_and_occupancy(padded, keep), standard.total_and_occupancy(padded, keep)
         ):
             assert np.array_equal(got, want)
         below, _, _ = packed_batch(labels_list, grids, hard(6))
-        assert below.sym.shape == (3, 1 + 3 * (6 + 1))
+        assert below.states.tolist() == [1 + 3 * (6 + 1), 1 + 6 + 1, 1]
 
     @pytest.mark.parametrize("variant", [STANDARD, soft(0.3), hard(1), hard(2)], ids=str)
     @ENGINE_SETTINGS
