@@ -21,19 +21,8 @@ from .fsa import (
     connect,
     fst_from_text,
     fst_to_text,
-    log_add,
-    log_sum,
 )
-from .lattice import (
-    Lattice,
-    arc_posteriors,
-    backward_scores,
-    best_path,
-    forward_scores,
-    intersect_dense,
-    iterate_paths,
-    total_score,
-)
+from .lattice import Lattice, intersect_dense, iterate_paths, occupancy, total_score
 from .loss import (
     LossResult,
     brute_force_loss,

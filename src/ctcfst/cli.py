@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 domain errors (infeasible alignment, empty lattice,
-bad file contents), 2 usage errors. Output files are written to a temporary
-path and renamed into place, so failures never leave partial files behind.
+Exit codes: 0 success, 1 domain errors (infeasible alignment, bad file
+contents, bad settings), 2 usage errors. Output files are written to a
+temporary path and renamed into place, so failures never leave partial files
+behind.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Sequence, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .errors import CtcFstError
-from .fsa import fst_to_text
+from .fsa import fst_to_text, parse_int
 from .loss import ctc_loss, format_matrix, grad_check, parse_matrix
 from .skip import SWEEP_BETAS, sweep_thresholds
 from .topology import (
@@ -81,6 +82,12 @@ def _emit(text: str, out: str | None) -> None:
         _write_text(out, text)
 
 
+def integer(raw: str) -> int:
+    """An integer label, flag or run-spec bound, in ASCII digits; argparse
+    names this type in its errors."""
+    return parse_int(raw, signed=True)
+
+
 def _parse_labels(raw: str) -> tuple[list[int], bool]:
     """Parse a CSV label list of token ids or single ASCII letters (A=1, B=2...)."""
     if not raw:
@@ -93,9 +100,9 @@ def _parse_labels(raw: str) -> tuple[list[int], bool]:
             labels.append(ord(item.upper()) - ord("A") + 1)
         else:
             try:
-                labels.append(int(item))
+                labels.append(integer(item))
             except ValueError:
-                raise ValueError(f"bad label {item!r}: use integers or single letters")
+                raise ValueError(f"bad label {item!r}: use integers or single letters") from None
     return labels, letters
 
 
@@ -117,7 +124,9 @@ def _variant(kind: str, param) -> TopologyVariant:
     if param is None:
         flag = "--lambda" if kind == "soft" else "--k"
         raise ValueError(f"{kind} needs a parameter: {flag} X or {kind}:X")
-    return soft(float(param)) if kind == "soft" else hard(int(param))
+    if kind == "soft":
+        return soft(float(param))
+    return hard(param if isinstance(param, int) else integer(param.strip()))
 
 
 def _variant_from(args: argparse.Namespace, parser: argparse.ArgumentParser) -> TopologyVariant:
@@ -136,7 +145,7 @@ def _add_variant_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--lambda", dest="penalty", type=float, default=None,
                         help="soft self-loop penalty")
-    parser.add_argument("--k", type=int, default=None,
+    parser.add_argument("--k", type=integer, default=None,
                         help="hard bound on consecutive repeats")
 
 
@@ -309,6 +318,11 @@ def cmd_compare(args, parser) -> int:
         runs = list(DEFAULT_RUNS)
     if len(runs) < 2:
         raise ValueError("need at least two run specs to compare")
+    names = set()
+    for spec in runs:
+        if spec.name in names:
+            raise ValueError(f"run spec {spec.name!r} given twice")
+        names.add(spec.name)
     table, curves, loss_rows = [], [], []
     for r, losses, _ in run_experiment(config, runs):
         table.append((r.name, r.final_loss, r.token_error_rate, r.ratio_at(0.9), r.gamma_max))
@@ -343,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     topo_sub = topo.add_subparsers(dest="topo_command", required=True)
     topo_build = topo_sub.add_parser("build", help="emit a topology or training graph")
     _add_variant_flags(topo_build)
-    topo_build.add_argument("--vocab", type=int, required=True)
+    topo_build.add_argument("--vocab", type=integer, required=True)
     topo_build.add_argument("--labels", default=None,
                             help="CSV labels; builds the training graph when given")
     topo_build.add_argument("--out", default=None)
@@ -359,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     align = sub.add_parser("align", help="enumerate valid alignments")
     _add_variant_flags(align)
     align.add_argument("--labels", required=True)
-    align.add_argument("--frames", type=int, required=True)
+    align.add_argument("--frames", type=integer, required=True)
     align.set_defaults(func=functools.partial(cmd_align, parser=align))
 
     gc = sub.add_parser("grad-check", help="finite-difference gradient check")
@@ -377,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = analyze.add_mutually_exclusive_group()
     group.add_argument("--beta", type=float, default=None)
     group.add_argument("--sweep", default=None, help="comma-separated thresholds")
-    analyze.add_argument("--tokens", type=int, default=0,
+    analyze.add_argument("--tokens", type=integer, default=0,
                          help="output token count, for the gamma_max column")
     analyze.add_argument("--out", default=None)
     analyze.set_defaults(func=functools.partial(cmd_skip, parser=analyze))
@@ -387,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
         for name in names:
             p.add_argument(
                 "--" + name.replace("_", "-"),
-                type=_scalar(_CONFIG_TYPES[name]),
+                type=integer if _scalar(_CONFIG_TYPES[name]) is int else float,
                 default=getattr(ExperimentConfig, name),
             )
         p.add_argument("--out", required=True, help="output directory")

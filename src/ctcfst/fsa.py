@@ -13,33 +13,24 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import math
+import re
 from typing import Iterator, NamedTuple
 
 EPSILON = 0
 BLANK = 0
 TERMINAL = -1
 
-LOG_ZERO = float("-inf")
 
+def parse_int(token: str, signed: bool = False) -> int:
+    """An integer written in ASCII digits, after a ``-`` only when ``signed``.
 
-def log_add(a: float, b: float) -> float:
-    """Log-semiring addition log(exp(a) + exp(b)), max-shifted for stability."""
-    if a == LOG_ZERO:
-        return b
-    if b == LOG_ZERO:
-        return a
-    if a < b:
-        a, b = b, a
-    return a + math.log1p(math.exp(b - a))
-
-
-def log_sum(values) -> float:
-    """Log-semiring sum of an iterable of log-scale values."""
-    total = LOG_ZERO
-    for v in values:
-        total = log_add(total, v)
-    return total
+    The one integer rule of the text formats and the command line: ``int``
+    alone would also take other scripts' digits, ``_``, ``+`` and spaces.
+    """
+    if re.fullmatch("-?[0-9]+" if signed else "[0-9]+", token) is None:
+        kind = "an integer" if signed else "a non-negative integer"
+        raise ValueError(f"expected {kind} in ASCII digits, got {token!r}")
+    return int(token)
 
 
 class Arc(NamedTuple):
@@ -51,12 +42,7 @@ class Arc(NamedTuple):
 
 
 class Fst:
-    """Mutable weighted transducer with arcs grouped by source state.
-
-    Arc ids enumerate arcs in source-state order and are stable once the
-    machine stops being mutated; they index the per-arc metadata kept by
-    lattices.
-    """
+    """Mutable weighted transducer with arcs grouped by source state."""
 
     __slots__ = ("_out", "start", "final")
 
@@ -92,20 +78,20 @@ class Fst:
         return self._out[state]
 
     def arcs(self) -> Iterator[Arc]:
-        """All arcs in arc-id order (grouped by source state)."""
+        """All arcs, in source-state order."""
         for arcs in self._out:
             yield from arcs
 
 
-def _trim(fst: Fst) -> tuple[Fst, list[int]]:
-    """Keep only states that are accessible and co-accessible.
+def connect(fst: Fst) -> Fst:
+    """Trim states unreachable from start or not co-reachable to final.
 
-    Returns the trimmed machine plus the original arc ids of the surviving
-    arcs, in the new arc-id order. An empty language yields an empty Fst.
+    The result accepts the same weighted language with densely renumbered
+    states; an empty language comes back as the empty Fst (0 states), which
+    callers must treat as "no valid path".
     """
-    empty = Fst()
     if fst.is_empty or fst.start is None or fst.final is None:
-        return empty, []
+        return Fst()
 
     n = fst.num_states
     forward = [False] * n
@@ -134,36 +120,18 @@ def _trim(fst: Fst) -> tuple[Fst, list[int]]:
     keep = [s for s in range(n) if forward[s] and backward[s]]
     remap = {old: new for new, old in enumerate(keep)}
     if fst.start not in remap or fst.final not in remap:
-        return empty, []
-    arc_offset = [0] * n
-    running = 0
-    for s in range(n):
-        arc_offset[s] = running
-        running += len(fst.arcs_from(s))
+        return Fst()
 
     out = Fst()
     for _ in keep:
         out.add_state()
     out.start = remap[fst.start]
     out.final = remap[fst.final]
-    kept_arc_ids: list[int] = []
     for old in keep:
-        for i, arc in enumerate(fst.arcs_from(old)):
+        for arc in fst.arcs_from(old):
             if forward[arc.dst] and backward[arc.dst]:
                 out.add_arc(remap[old], remap[arc.dst], arc.ilabel, arc.olabel, arc.weight)
-                kept_arc_ids.append(arc_offset[old] + i)
-    return out, kept_arc_ids
-
-
-def connect(fst: Fst) -> Fst:
-    """Trim states unreachable from start or not co-reachable to final.
-
-    The result accepts the same weighted language with densely renumbered
-    states; an empty language comes back as the empty Fst (0 states), which
-    callers must treat as "no valid path".
-    """
-    trimmed, _ = _trim(fst)
-    return trimmed
+    return out
 
 
 def compose(a: Fst, b: Fst) -> Fst:
@@ -255,23 +223,24 @@ def fst_to_text(fst: Fst) -> str:
 def fst_from_text(text: str) -> Fst:
     """Parse the text format produced by :func:`fst_to_text`.
 
-    The start state is the source of the first arc line.
+    The start state is the source of the first arc line. State ids are
+    non-negative and labels may be negative, all in ASCII digits.
     """
     arcs: list[tuple[int, int, int, int, float]] = []
     final: int | None = None
     for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
+        fields = raw.split()
+        if not fields:
             continue
-        fields = line.split()
-        if len(fields) == 1:
-            final = int(fields[0])
-        elif len(fields) == 5:
-            arcs.append(
-                (int(fields[0]), int(fields[1]), int(fields[2]), int(fields[3]), float(fields[4]))
-            )
-        else:
-            raise ValueError(f"malformed FST line: {line!r}")
+        try:
+            if len(fields) == 1:
+                final = parse_int(fields[0])
+                continue
+            src, dst, ilabel, olabel, weight = fields
+            arcs.append((parse_int(src), parse_int(dst), parse_int(ilabel, signed=True),
+                         parse_int(olabel, signed=True), float(weight)))
+        except ValueError:
+            raise ValueError(f"malformed FST line: {raw.strip()!r}") from None
     if not arcs:
         return Fst()
     if final is None:

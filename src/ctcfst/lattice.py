@@ -1,242 +1,108 @@
-"""Frame-synchronous lattices: dense intersection and dynamic programming.
+"""Dense oracle: forward-backward of any training graph over a score grid.
 
-A lattice is the intersection of a training graph with a T x (V+1) grid of
-per-frame log-probabilities (column 0 is the blank). Every path consumes
-exactly T frames and then one terminal sentinel arc, so the machine is
-acyclic and its states are numbered in topological order by construction.
+:func:`intersect_dense` folds an Fst into an (S, S, C) tensor of arc weights
+beside a T x C grid of per-frame scores; a path reads one symbol per frame,
+then takes its last state's terminal arc. :func:`total_score` and
+:func:`occupancy` run the log-domain forward-backward of Graves et al. 2006
+(section 4.1) over it, assuming no chain structure and no state order. It
+reads only the Fst, so it checks the engine of :mod:`ctcfst.loss` independently.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NoPathError
-from .fsa import LOG_ZERO, TERMINAL, Arc, Fst, _trim, log_add
+from .fsa import TERMINAL, Fst
 
 
-@dataclass
+@dataclass(frozen=True)
 class Lattice:
-    """An Fst whose arcs carry frame/column provenance.
+    """A graph's arcs as dense log-weights, with the grid they score."""
 
-    ``frame_of_arc[i]`` is the frame consumed by arc id ``i`` (or ``TERMINAL``
-    for the sentinel step); the grid column it read is the arc's ``ilabel``.
-    """
-
-    fst: Fst = field(default_factory=Fst)
-    frame_of_arc: list[int] = field(default_factory=list)
-    num_frames: int = 0
-
-    @property
-    def is_empty(self) -> bool:
-        return self.fst.is_empty
-
-
-def _as_grid(grid) -> np.ndarray:
-    out = np.asarray(grid, dtype=float)
-    if out.ndim != 2 or out.shape[0] < 1 or out.shape[1] < 1:
-        raise ValueError(f"grid must be a T x (V+1) matrix, got shape {out.shape}")
-    if not np.isfinite(out).all():
-        raise ValueError("grid entries must be finite")
-    return out
+    arcs: np.ndarray  # (S, S, C) log-sum of the arcs i -> j reading c, -inf if none
+    final: np.ndarray  # (S,) weight of the state's terminal arc, -inf if none
+    start: int
+    grid: np.ndarray  # (T, C) finite per-frame scores
 
 
 def intersect_dense(graph: Fst, grid) -> Lattice:
-    """Intersect a training graph with dense per-frame scores.
-
-    Lattice states are (graph state, frame) pairs; each arc at frame t adds
-    ``grid[t][ilabel]`` to the graph arc weight. After the last frame a
-    terminal step consumes the -1 sentinel with weight 0. The result is
-    connected; an infeasible combination yields an empty lattice rather than
-    an error.
-    """
-    grid = _as_grid(grid)
-    num_frames, num_cols = grid.shape
-    if graph.is_empty:
-        return Lattice(num_frames=num_frames)
+    """Pair a training graph with dense per-frame scores. Arcs that join the
+    same two states on the same symbol become one entry, log-summed; the empty
+    graph becomes one state with no way out, so its scores raise ``NoPathError``."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 2 or grid.shape[0] < 1 or grid.shape[1] < 1:
+        raise ValueError(f"grid must be a T x (V+1) matrix, got shape {grid.shape}")
+    if not np.isfinite(grid).all():
+        raise ValueError("grid entries must be finite")
+    size, cols = max(graph.num_states, 1), grid.shape[1]
+    arcs = np.full((size, size, cols), -np.inf)
+    final = np.full(size, -np.inf)
     for arc in graph.arcs():
-        if arc.ilabel != TERMINAL and not (0 <= arc.ilabel < num_cols):
-            raise ValueError(
-                f"graph input label {arc.ilabel} outside grid columns 0..{num_cols - 1}"
-            )
-
-    # Frame-layered expansion; only states reachable at each layer are kept.
-    layers: list[list[int]] = [[graph.start]]
-    for _ in range(num_frames):
-        nxt: set[int] = set()
-        for g in layers[-1]:
-            for arc in graph.arcs_from(g):
-                if arc.ilabel != TERMINAL:
-                    nxt.add(arc.dst)
-        layers.append(sorted(nxt))
-
-    raw = Fst()
-    state_of: dict[tuple[int, int], int] = {}
-    for t, layer in enumerate(layers):
-        for g in layer:
-            state_of[(g, t)] = raw.add_state()
-    final = raw.add_state()
-    raw.start = state_of[(graph.start, 0)]
-    raw.final = final
-
-    frames: list[int] = []
-    for t in range(num_frames):
-        for g in layers[t]:
-            src = state_of[(g, t)]
-            for arc in graph.arcs_from(g):
-                if arc.ilabel == TERMINAL:
-                    continue
-                raw.add_arc(
-                    src,
-                    state_of[(arc.dst, t + 1)],
-                    arc.ilabel,
-                    arc.olabel,
-                    arc.weight + grid[t, arc.ilabel],
-                )
-                frames.append(t)
-    for g in layers[num_frames]:
-        src = state_of[(g, num_frames)]
-        for arc in graph.arcs_from(g):
-            if arc.ilabel == TERMINAL:
-                raw.add_arc(src, final, TERMINAL, arc.olabel, arc.weight)
-                frames.append(TERMINAL)
-
-    trimmed, kept = _trim(raw)
-    if trimmed.is_empty:
-        return Lattice(num_frames=num_frames)
-    return Lattice(
-        fst=trimmed,
-        frame_of_arc=[frames[i] for i in kept],
-        num_frames=num_frames,
-    )
+        if arc.ilabel == TERMINAL:
+            final[arc.src] = np.logaddexp(final[arc.src], arc.weight)
+        elif 0 <= arc.ilabel < cols:
+            cell = (arc.src, arc.dst, arc.ilabel)
+            arcs[cell] = np.logaddexp(arcs[cell], arc.weight)
+        else:
+            raise ValueError(f"graph input label {arc.ilabel} outside grid columns 0..{cols - 1}")
+    return Lattice(arcs, final, graph.start or 0, grid)
 
 
-def _incoming(fst: Fst) -> list[list[tuple[int, Arc]]]:
-    ins: list[list[tuple[int, Arc]]] = [[] for _ in range(fst.num_states)]
-    for arc_id, arc in enumerate(fst.arcs()):
-        ins[arc.dst].append((arc_id, arc))
-    return ins
+def _logsumexp(x: np.ndarray, axis) -> np.ndarray:
+    """log(sum(exp(x))) over ``axis``, max-shifted; -inf where x is all -inf or empty."""
+    peak = np.max(x, axis=axis, keepdims=True, initial=-np.inf)
+    peak[~np.isfinite(peak)] = 0.0
+    with np.errstate(divide="ignore"):
+        return np.squeeze(np.log(np.exp(x - peak).sum(axis=axis, keepdims=True)) + peak, axis)
 
 
-def _topological(lat: Lattice) -> Fst:
-    """The lattice's Fst, after checking that every arc runs to a higher state."""
-    if any(arc.src >= arc.dst for arc in lat.fst.arcs()):
-        raise ValueError("lattice states are not topologically numbered")
-    return lat.fst
-
-
-def forward_scores(lat: Lattice) -> list[float]:
-    """Per-state log-semiring forward scores from the start state.
-
-    Raises ``ValueError`` unless the states are topologically numbered, as
-    :func:`intersect_dense` numbers them.
-    """
-    fst = _topological(lat)
-    if fst.is_empty:
-        return []
-    scores = [LOG_ZERO] * fst.num_states
-    scores[fst.start] = 0.0
-    incoming = _incoming(fst)
-    for s in range(fst.num_states):
-        if s == fst.start:
-            continue
-        acc = LOG_ZERO
-        for _, arc in incoming[s]:
-            acc = log_add(acc, scores[arc.src] + arc.weight)
-        scores[s] = acc
-    return scores
-
-
-def backward_scores(lat: Lattice) -> list[float]:
-    """Per-state backward scores to the final state (mirror of forward)."""
-    fst = _topological(lat)
-    if fst.is_empty:
-        return []
-    scores = [LOG_ZERO] * fst.num_states
-    scores[fst.final] = 0.0
-    for s in range(fst.num_states - 1, -1, -1):
-        if s == fst.final:
-            continue
-        acc = LOG_ZERO
-        for arc in fst.arcs_from(s):
-            acc = log_add(acc, arc.weight + scores[arc.dst])
-        scores[s] = acc
-    return scores
+def _forward(lat: Lattice) -> tuple[np.ndarray, float]:
+    """(T+1, S) forward scores, row t stepping only from the states live after t
+    frames, and the total; raises ``NoPathError`` if no path ends at frame T."""
+    alpha = np.full((len(lat.grid) + 1, len(lat.final)), -np.inf)
+    alpha[0, lat.start] = 0.0
+    for t, scores in enumerate(lat.grid):
+        live = alpha[t] > -np.inf
+        alpha[t + 1] = _logsumexp(alpha[t, live, None, None] + lat.arcs[live] + scores, axis=(0, 2))
+    total = float(_logsumexp(alpha[-1] + lat.final, axis=0))
+    if total == -np.inf:
+        raise NoPathError(f"no path through the graph consumes {len(lat.grid)} frames")
+    return alpha, total
 
 
 def total_score(lat: Lattice) -> float:
-    """Log-semiring total over all paths (forward score of the final state)."""
-    if lat.is_empty:
-        raise NoPathError("empty lattice has no paths")
-    return forward_scores(lat)[lat.fst.final]
+    """Log-semiring total over all paths."""
+    return _forward(lat)[1]
 
 
-def best_path(lat: Lattice) -> tuple[list[int], float]:
-    """Tropical-best alignment: the frame-consuming input labels and score.
-
-    Ties are broken toward the lowest arc id, which makes the result
-    deterministic on score plateaus.
-    """
-    if lat.is_empty:
-        raise NoPathError("empty lattice has no paths")
-    fst = _topological(lat)
-    scores = [LOG_ZERO] * fst.num_states
-    back: list[tuple[int, Arc] | None] = [None] * fst.num_states
-    scores[fst.start] = 0.0
-    incoming = _incoming(fst)
-    for s in range(fst.num_states):
-        if s == fst.start:
-            continue
-        for arc_id, arc in incoming[s]:
-            cand = scores[arc.src] + arc.weight
-            if cand > scores[s]:
-                scores[s] = cand
-                back[s] = (arc_id, arc)
-    if scores[fst.final] == LOG_ZERO:
-        raise NoPathError("final state unreachable")
-    alignment: list[int] = []
-    s = fst.final
-    while s != fst.start:
-        arc_id, arc = back[s]
-        if lat.frame_of_arc[arc_id] != TERMINAL:
-            alignment.append(arc.ilabel)
-        s = arc.src
-    alignment.reverse()
-    return alignment, scores[fst.final]
-
-
-def arc_posteriors(lat: Lattice) -> np.ndarray:
-    """Posterior probability of each arc under the log-semiring path measure.
-
-    For every frame the posteriors of that frame's arcs sum to 1.
-    """
-    if lat.is_empty:
-        raise NoPathError("empty lattice has no paths")
-    fwd = forward_scores(lat)
-    bwd = backward_scores(lat)
-    total = fwd[lat.fst.final]
-    post = np.empty(lat.fst.num_arcs, dtype=float)
-    for arc_id, arc in enumerate(lat.fst.arcs()):
-        post[arc_id] = np.exp(fwd[arc.src] + arc.weight + bwd[arc.dst] - total)
-    return post
+def occupancy(lat: Lattice) -> np.ndarray:
+    """(T, C) posterior of reading each symbol at each frame; every row sums to 1."""
+    alpha, total = _forward(lat)
+    beta = lat.final  # over the states live at the frame, -inf elsewhere
+    out = np.empty_like(lat.grid)
+    for t in range(len(lat.grid) - 1, -1, -1):
+        live, ahead = alpha[t] > -np.inf, beta > -np.inf
+        step = lat.arcs[np.ix_(live, ahead)] + lat.grid[t] + beta[None, ahead, None]
+        out[t] = _logsumexp(alpha[t, live, None, None] + step, axis=(0, 1))
+        beta = np.full_like(beta, -np.inf)
+        beta[live] = _logsumexp(step, axis=(1, 2))
+    return np.exp(out - total)
 
 
 def iterate_paths(lat: Lattice):
-    """Yield (alignment, score) for every path; exponential, diagnostics only.
-
-    The alignment is the tuple of frame-consuming input labels. Independent of
-    the forward/backward recursions, so tests can use it as an oracle.
-    """
-    if lat.is_empty:
-        return
-    fst = lat.fst
-    stack: list[tuple[int, list[int], float]] = [(fst.start, [], 0.0)]
+    """Yield (alignment, score) for every path, the alignment being the symbols
+    it reads: a depth-first walk, exponential in T, apart from the recursion."""
+    moves = [np.argwhere(row > -np.inf).tolist() for row in lat.arcs]
+    stack = [(lat.start, (), 0.0)]
     while stack:
         state, labels, score = stack.pop()
-        if state == fst.final:
-            yield tuple(labels), score
+        t = len(labels)
+        if t == len(lat.grid):
+            if lat.final[state] > -np.inf:
+                yield labels, float(score + lat.final[state])
             continue
-        for arc in fst.arcs_from(state):
-            ext = labels if arc.ilabel == TERMINAL else labels + [arc.ilabel]
-            stack.append((arc.dst, ext, score + arc.weight))
+        for j, c in moves[state]:
+            stack.append((j, labels + (c,), score + lat.arcs[state, j, c] + lat.grid[t, c]))

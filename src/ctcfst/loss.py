@@ -7,10 +7,11 @@ a batch of one with every frame kept, :func:`grad_check`, as one batch of
 bumped grids per frame, and the toy trainer, which masks out its padding and
 skipped frames. The engine lays each batch out ragged, so its work is the sum
 over graphs of states times kept frames, whatever the padding. Three
-independent implementations cross-check it in the tests: the generic lattice
-of :mod:`ctcfst.lattice`, the classic alpha recursion over the 2U+1 expanded
-label sequence (standard topology only) and a brute-force sum over
-enumerated alignments (all variants, small instances).
+independent implementations cross-check it in the tests: the dense
+forward-backward of :mod:`ctcfst.lattice` over any composed graph, the
+classic alpha recursion over the 2U+1 expanded label sequence (standard
+topology only) and a brute-force sum over enumerated alignments (all
+variants, small instances).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InfeasibleAlignmentError, NoPathError
+from .fsa import parse_int
 from .topology import (
     STANDARD, TopologyVariant, _chain, _validate_labels, collapse_ctc, enumerate_alignments
 )
@@ -366,10 +368,10 @@ def parse_matrix(text: str) -> np.ndarray:
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise ValueError("empty matrix file")
-    header = lines[0].split()
-    if len(header) != 2 or not all(token.isdecimal() for token in header):
-        raise ValueError(f"malformed matrix header: {lines[0]!r}")
-    rows, cols = int(header[0]), int(header[1])
+    try:
+        rows, cols = map(parse_int, lines[0].split())
+    except ValueError:
+        raise ValueError(f"malformed matrix header: {lines[0]!r}") from None
     if rows == 0 or cols == 0:
         raise ValueError(f"matrix needs at least one row and one column, got {rows} x {cols}")
     body = lines[1:]

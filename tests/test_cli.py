@@ -117,6 +117,25 @@ class TestUsageErrors:
         assert info.value.code == 2
 
     @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["loss", "--labels", "A", "--grid", "g.txt", "--variant", "hard", "--k"], "--k"),
+            (["align", "--labels", "A", "--frames"], "--frames"),
+            (["topo", "build", "--vocab"], "--vocab"),
+            (["skip", "analyze", "--probs", "g.txt", "--tokens"], "--tokens"),
+            (["train-toy", "--out", "out", "--steps"], "--steps"),
+        ],
+        ids=lambda value: value if isinstance(value, str) else value[0],
+    )
+    @pytest.mark.parametrize("value", ["\u0662", "\u0663", "1_0", "+2", " 2"])
+    def test_integer_flag_must_be_ascii_digits(self, capsys, argv, flag, value):
+        with pytest.raises(SystemExit) as info:
+            main([*argv, value])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f": error: argument {flag}: invalid integer value: {value!r}\n")
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["topo", "build", "--vocab", "2"],
@@ -371,6 +390,22 @@ class TestBadInputExitsOne:
         assert out.out == ""
         assert out.err == f"error: bad label {label!r}: use integers or single letters\n"
 
+    @pytest.mark.parametrize("labels, bad", [("\u0661,1_0", "\u0661"), ("1_0", "1_0"),
+                                             ("+1", "+1"), ("1,\uff12", "\uff12")])
+    def test_integer_label_must_be_ascii_digits(self, capsys, labels, bad):
+        assert main(["align", "--labels", labels, "--frames", "3"]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: bad label {bad!r}: use integers or single letters\n"
+
+    def test_non_ascii_matrix_header_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "probs.txt"
+        path.write_text("\u0661 \u0662\n0 0\n")
+        out = tmp_path / "ratios.csv"
+        assert main(["skip", "analyze", "--probs", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: malformed matrix header: '\u0661 \u0662'\n"
+        assert not out.exists()
+
     def test_ascii_letters_map_a_to_1_and_z_to_26(self, capsys):
         assert main(["topo", "build", "--vocab", "26", "--labels", "a,Z"]) == 0
         assert capsys.readouterr().out == fst_to_text(ctcfst.build_chain([1, 26], 26))
@@ -570,6 +605,24 @@ class TestExperimentCommands:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "need at least two run specs" in err
 
+    @pytest.mark.parametrize(
+        "runs, name",
+        [("standard,standard", "standard"), ("soft:5,hard:1,soft:5.0", "soft(5)"),
+         ("hard:2+skip:0.9,hard:2+skip:0.90", "hard(2)+skip(0.9)")],
+    )
+    def test_repeated_run_spec_exits_one_before_any_corpus(
+        self, tmp_path, capsys, no_corpus, runs, name
+    ):
+        assert main(["compare", "--runs", runs, "--out", str(tmp_path / "cmp")]) == 1
+        assert capsys.readouterr().err == f"error: run spec {name!r} given twice\n"
+        assert not (tmp_path / "cmp").exists()
+
+    def test_run_spec_bound_must_be_ascii_digits(self, tmp_path, capsys, no_corpus):
+        assert main(["compare", "--runs", "hard:\u0662,standard", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: run spec 'hard:\u0662': expected an integer in ASCII digits, got '\u0662'\n"
+        )
+
     def test_standard_run_spec_takes_no_parameter(self, tmp_path, capsys, no_corpus):
         code = main(["compare", "--runs", "standard:3,hard:1", "--out", str(tmp_path)])
         assert code == 1
@@ -625,8 +678,8 @@ class TestOneExperimentRunner:
 # The generic FST code and the engine-independent loss oracles: no CLI path
 # may reach them, so they stay references the product code does not share.
 ORACLES = (
-    "compose", "connect", "_trim", "build_linear_graph", "build_training_graph",
-    "log_add", "log_sum", "fst_from_text", "ctc_loss_alpha", "brute_force_loss",
+    "compose", "connect", "build_linear_graph", "build_training_graph",
+    "fst_from_text", "ctc_loss_alpha", "brute_force_loss",
     *(name for name, fn in inspect.getmembers(lattice, inspect.isfunction)
       if fn.__module__ == lattice.__name__ and not name.startswith("_")),
 )

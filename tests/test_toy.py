@@ -10,7 +10,6 @@ import ctcfst.skip
 import ctcfst.toy
 from ctcfst import (
     STANDARD,
-    TERMINAL,
     CorpusConfig,
     InfeasibleAlignmentError,
     NoPathError,
@@ -18,7 +17,6 @@ from ctcfst import (
     SyntheticCorpus,
     TrainingDivergedError,
     Utterance,
-    arc_posteriors,
     ctc_loss,
     edit_distance,
     evaluate,
@@ -29,6 +27,7 @@ from ctcfst import (
     intersect_dense,
     log_softmax,
     min_alignment_length,
+    occupancy,
     run_experiment,
     soft,
     sweep_thresholds,
@@ -133,13 +132,9 @@ def utterance_batches(draw, feasible=True):
 
 
 def lattice_oracle(labels, grid, variant):
-    """Total and per-(frame, symbol) occupancy from the generic lattice."""
+    """Total and per-(frame, symbol) occupancy from the dense oracle."""
     lat = intersect_dense(build_training_graph(labels, VOCAB, variant), grid)
-    occupancy = np.zeros_like(grid)
-    for arc, t, post in zip(lat.fst.arcs(), lat.frame_of_arc, arc_posteriors(lat)):
-        if t != TERMINAL:
-            occupancy[t, arc.ilabel] += post
-    return total_score(lat), occupancy
+    return total_score(lat), occupancy(lat)
 
 
 def packed_batch(labels_list, grids, variant, masks=None):
