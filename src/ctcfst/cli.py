@@ -21,7 +21,7 @@ from typing import Sequence, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .errors import CtcFstError
-from .fsa import fst_to_text, parse_int
+from .fsa import fst_to_text, parse_float, parse_int
 from .loss import ctc_loss, format_matrix, grad_check, parse_matrix
 from .skip import SWEEP_BETAS, sweep_thresholds
 from .topology import (
@@ -88,15 +88,23 @@ def integer(raw: str) -> int:
     return parse_int(raw, signed=True)
 
 
+def real(raw: str) -> float:
+    """A float flag, in ASCII (``fsa.parse_float``)."""
+    return parse_float(raw)
+
+
+real.__name__ = "float"  # argparse names the type in its errors: "invalid float value"
+
+
 def _parse_labels(raw: str) -> tuple[list[int], bool]:
     """Parse a CSV label list of token ids or single ASCII letters (A=1, B=2...)."""
     if not raw:
         return [], False
     items = [item.strip() for item in raw.split(",")]
-    letters = all(len(item) == 1 and item.isascii() and item.isalpha() for item in items)
+    letters = all(len(item) == 1 and item.isascii() and item.isalpha() for item in items if item)
     labels = []
     for item in items:
-        if letters:
+        if letters and item:
             labels.append(ord(item.upper()) - ord("A") + 1)
         else:
             try:
@@ -125,7 +133,7 @@ def _variant(kind: str, param) -> TopologyVariant:
         flag = "--lambda" if kind == "soft" else "--k"
         raise ValueError(f"{kind} needs a parameter: {flag} X or {kind}:X")
     if kind == "soft":
-        return soft(float(param))
+        return soft(param if isinstance(param, float) else parse_float(param))
     return hard(param if isinstance(param, int) else integer(param.strip()))
 
 
@@ -143,7 +151,7 @@ def _add_variant_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--variant", choices=("standard", "soft", "hard"), default="standard"
     )
-    parser.add_argument("--lambda", dest="penalty", type=float, default=None,
+    parser.add_argument("--lambda", dest="penalty", type=real, default=None,
                         help="soft self-loop penalty")
     parser.add_argument("--k", type=integer, default=None,
                         help="hard bound on consecutive repeats")
@@ -155,7 +163,7 @@ def _parse_run_spec(raw: str) -> RunSpec:
     kind, colon, param = body.partition(":")
     try:
         variant = _variant(kind.strip(), param if colon else None)
-        return RunSpec(variant, skip_beta=float(beta) if skip else None)
+        return RunSpec(variant, skip_beta=parse_float(beta) if skip else None)
     except ValueError as exc:
         raise ValueError(f"run spec {raw!r}: {exc}") from None
 
@@ -271,7 +279,7 @@ def cmd_grad_check(args, parser) -> int:
 
 def _threshold(raw: str) -> float:
     try:
-        return float(raw)
+        return parse_float(raw)
     except ValueError:
         raise ValueError(f"bad threshold {raw!r} in --sweep") from None
 
@@ -286,7 +294,7 @@ def cmd_skip(args, parser) -> int:
         betas = [_threshold(item) for item in args.sweep.split(",")]
     else:
         betas = list(SWEEP_BETAS)
-    rows = sweep_thresholds([blank_probs], [args.tokens], betas)
+    rows = sweep_thresholds(blank_probs, args.tokens, betas)
     _emit(_csv("beta,ratio,gamma_max", rows), args.out)
     return 0
 
@@ -380,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_variant_flags(gc)
     gc.add_argument("--labels", required=True)
     gc.add_argument("--logits", required=True, help="matrix text file of logits")
-    gc.add_argument("--epsilon", type=float, default=1e-5)
+    gc.add_argument("--epsilon", type=real, default=1e-5)
     gc.set_defaults(func=functools.partial(cmd_grad_check, parser=gc))
 
     skip_p = sub.add_parser("skip", help="blank-frame skip analysis")
@@ -389,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--probs", required=True,
                          help="matrix text file of log-probs; blank is column 0")
     group = analyze.add_mutually_exclusive_group()
-    group.add_argument("--beta", type=float, default=None)
+    group.add_argument("--beta", type=real, default=None)
     group.add_argument("--sweep", default=None, help="comma-separated thresholds")
     analyze.add_argument("--tokens", type=integer, default=0,
                          help="output token count, for the gamma_max column")
@@ -401,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
         for name in names:
             p.add_argument(
                 "--" + name.replace("_", "-"),
-                type=integer if _scalar(_CONFIG_TYPES[name]) is int else float,
+                type=integer if _scalar(_CONFIG_TYPES[name]) is int else real,
                 default=getattr(ExperimentConfig, name),
             )
         p.add_argument("--out", required=True, help="output directory")

@@ -33,6 +33,15 @@ def parse_int(token: str, signed: bool = False) -> int:
     return int(token)
 
 
+def parse_float(token: str) -> float:
+    """A float written in ASCII, as ``float`` reads it but without ``_``: the
+    one float rule of the text formats and the command line, where ``float``
+    alone would also take other scripts' digits and ``1_0``."""
+    if not token.isascii() or "_" in token:
+        raise ValueError(f"could not convert string to float: {token!r}")
+    return float(token)
+
+
 class Arc(NamedTuple):
     src: int
     dst: int
@@ -238,7 +247,7 @@ def fst_from_text(text: str) -> Fst:
                 continue
             src, dst, ilabel, olabel, weight = fields
             arcs.append((parse_int(src), parse_int(dst), parse_int(ilabel, signed=True),
-                         parse_int(olabel, signed=True), float(weight)))
+                         parse_int(olabel, signed=True), parse_float(weight)))
         except ValueError:
             raise ValueError(f"malformed FST line: {raw.strip()!r}") from None
     if not arcs:

@@ -21,9 +21,10 @@ REFERENCE_CORPUS_GAMMA_MAX = 0.7861
 SWEEP_BETAS = (0.8, 0.85, 0.9, 0.95, 0.99, 0.999)
 
 
-def _check_threshold(beta: float) -> None:
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"threshold must lie in (0, 1), got {beta}")
+def _check_threshold(value: float, name: str = "threshold") -> None:
+    """The one (0, 1) test of a threshold, ``skip_beta`` and ``betas`` alike."""
+    if not 0.0 < value < 1.0:  # NaN fails too
+        raise ValueError(f"{name} must lie in (0, 1), got {value:g}")
 
 
 def classify_blank_frames(blank_probs, beta: float) -> np.ndarray:
@@ -56,27 +57,19 @@ class SweepPoint(NamedTuple):
 
 
 def sweep_thresholds(
-    blank_prob_sets: Sequence[Sequence[float]],
-    label_counts: Sequence[int],
-    betas: Sequence[float] = SWEEP_BETAS,
+    blank_probs, token_count: int, betas: Sequence[float] = SWEEP_BETAS
 ) -> list[SweepPoint]:
-    """Corpus-level reduction ratio at each threshold.
-
-    The ratio aggregates frames, not utterances: total skipped over total
-    frames. One row per threshold, each carrying the corpus gamma_max.
-    """
-    if len(blank_prob_sets) == 0:
-        raise ValueError("empty corpus")
-    if len(blank_prob_sets) != len(label_counts):
-        raise ValueError("one label count per utterance required")
-    total_frames = sum(len(p) for p in blank_prob_sets)
-    corpus_gamma = gamma_max(sum(label_counts), total_frames)
+    """Corpus reduction ratio (skipped over all frames) and gamma_max at each of
+    ``betas``; ``blank_probs`` is 1-D, one entry per frame of the corpus."""
+    if len(betas) == 0:  # a report reads gamma_max from the first row
+        raise ValueError("betas must not be empty")
     for beta in betas:
         _check_threshold(beta)
-    if any(np.ndim(p) != 1 or len(p) == 0 for p in blank_prob_sets):
-        raise ValueError("blank_probs must be a non-empty 1-D sequence")
-    probs = np.concatenate(blank_prob_sets)
+    if np.ndim(blank_probs) != 1:
+        raise ValueError("blank_probs must be 1-D")
+    frames = len(blank_probs)
+    corpus_gamma = gamma_max(token_count, frames)
     return [
-        SweepPoint(beta, int(classify_blank_frames(probs, beta).sum()) / total_frames, corpus_gamma)
+        SweepPoint(beta, int(classify_blank_frames(blank_probs, beta).sum()) / frames, corpus_gamma)
         for beta in betas
     ]

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import InfeasibleAlignmentError, NoPathError, TrainingDivergedError
 from .loss import batch_loss, greedy_decode, log_softmax, pack
-from .skip import SWEEP_BETAS, SweepPoint, classify_blank_frames, gamma_max, sweep_thresholds
+from .skip import SWEEP_BETAS, SweepPoint, _check_threshold, classify_blank_frames, sweep_thresholds
 from .topology import STANDARD, TopologyVariant
 
 # The most noise a corpus takes: a million times its unit class means, far
@@ -92,12 +92,12 @@ class ExperimentConfig:
             raise ValueError(f"step_size must be finite and >= 0, got {self.step_size:g}")
         if not 0 <= self.warmup_fraction <= 1:
             raise ValueError(f"warmup_fraction must lie in [0, 1], got {self.warmup_fraction:g}")
-        if self.skip_beta is not None and not 0 < self.skip_beta < 1:
-            raise ValueError(f"skip_beta must lie in (0, 1), got {self.skip_beta:g}")
+        if self.skip_beta is not None:
+            _check_threshold(self.skip_beta, "skip_beta")
         if not self.betas:
             raise ValueError("betas must not be empty")
-        if not all(0 < beta < 1 for beta in self.betas):
-            raise ValueError("betas must lie in (0, 1)")
+        for beta in self.betas:
+            _check_threshold(beta, "betas")
         for key in ("train_utterances", "eval_utterances"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1")
@@ -125,12 +125,6 @@ class Utterance:
 class SyntheticCorpus:
     config: CorpusConfig
     utterances: list[Utterance]
-
-    @property
-    def gamma_max(self) -> float:
-        tokens = sum(len(u.labels) for u in self.utterances)
-        frames = sum(len(u.features) for u in self.utterances)
-        return gamma_max(tokens, frames)
 
     def padded(self) -> tuple[np.ndarray, np.ndarray]:
         """Zero-padded (N, T, D) features and the (N, T) real-frame mask, T
@@ -299,13 +293,8 @@ def evaluate(
     for rows, mask, u in zip(grid, real, corpus.utterances):
         edits += edit_distance(greedy_decode(rows[mask]), u.labels)
         tokens += len(u.labels)
-    return ExperimentReport(
-        name=name,
-        final_loss=final_loss,
-        sweep=sweep_thresholds([np.exp(grid[..., 0][real])], [tokens], betas),
-        token_error_rate=edits / tokens,
-        gamma_max=corpus.gamma_max,
-    )
+    sweep = sweep_thresholds(np.exp(grid[..., 0][real]), tokens, betas)
+    return ExperimentReport(name, final_loss, sweep, edits / tokens, sweep[0].gamma_max)
 
 
 @dataclass(frozen=True)

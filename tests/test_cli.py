@@ -136,6 +136,30 @@ class TestUsageErrors:
         assert err.endswith(f": error: argument {flag}: invalid integer value: {value!r}\n")
 
     @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["align", "--labels", "A", "--frames", "2", "--variant", "soft", "--lambda"],
+             "--lambda"),
+            (["grad-check", "--labels", "A", "--logits", "g.txt", "--epsilon"], "--epsilon"),
+            (["skip", "analyze", "--probs", "g.txt", "--beta"], "--beta"),
+            (["train-toy", "--out", "out", "--config", "missing.json", "--step-size"],
+             "--step-size"),
+            (["train-toy", "--out", "out", "--config", "missing.json", "--warmup-fraction"],
+             "--warmup-fraction"),
+            (["train-toy", "--out", "out", "--config", "missing.json", "--skip-beta"],
+             "--skip-beta"),
+        ],
+        ids=lambda value: value if isinstance(value, str) else value[0],
+    )
+    @pytest.mark.parametrize("value", ["\u0665", "\u0660.\u0665", "\uff15", "1_0", "0.8_5"])
+    def test_float_flag_must_be_ascii(self, capsys, argv, flag, value):
+        with pytest.raises(SystemExit) as info:
+            main([*argv, value])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f": error: argument {flag}: invalid float value: {value!r}\n")
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["topo", "build", "--vocab", "2"],
@@ -352,6 +376,23 @@ class TestSkipCommand:
         assert main(["skip", "analyze", "--probs", str(path), "--sweep", sweep]) == 1
         assert capsys.readouterr().err == f"error: bad threshold {bad!r} in --sweep\n"
 
+    @pytest.mark.parametrize("sweep, bad", [("\u0660.\u0665", "\u0660.\u0665"),
+                                            ("0.5,0.9_5", "0.9_5"), ("\uff10.5", "\uff10.5")])
+    def test_sweep_threshold_must_be_ascii(self, tmp_path, capsys, sweep, bad):
+        path = tmp_path / "probs.txt"
+        path.write_text(format_matrix(np.full((4, 2), math.log(0.5))))
+        assert main(["skip", "analyze", "--probs", str(path), "--sweep", sweep]) == 1
+        assert capsys.readouterr().err == f"error: bad threshold {bad!r} in --sweep\n"
+
+    @pytest.mark.parametrize(
+        "flags, shown", [(["--beta", "0"], "0"), (["--sweep", "0.5,1.5"], "1.5")]
+    )
+    def test_threshold_outside_unit_interval_exits_one(self, tmp_path, capsys, flags, shown):
+        path = tmp_path / "probs.txt"
+        path.write_text(format_matrix(np.full((4, 2), math.log(0.5))))
+        assert main(["skip", "analyze", "--probs", str(path), *flags]) == 1
+        assert capsys.readouterr().err == f"error: threshold must lie in (0, 1), got {shown}\n"
+
 
 class TestBadInputExitsOne:
     @pytest.mark.parametrize("header", ["0 0", "0 3", "2 0"])
@@ -397,6 +438,13 @@ class TestBadInputExitsOne:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err == f"error: bad label {bad!r}: use integers or single letters\n"
+
+    @pytest.mark.parametrize("labels", ["A,,B", "A,", "1,,2"])
+    def test_empty_label_is_the_bad_label(self, capsys, labels):
+        assert main(["align", "--labels", labels, "--frames", "3"]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: bad label '': use integers or single letters\n"
 
     def test_non_ascii_matrix_header_exits_one(self, tmp_path, capsys):
         path = tmp_path / "probs.txt"
@@ -621,6 +669,17 @@ class TestExperimentCommands:
         assert main(["compare", "--runs", "hard:\u0662,standard", "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == (
             "error: run spec 'hard:\u0662': expected an integer in ASCII digits, got '\u0662'\n"
+        )
+
+    @pytest.mark.parametrize(
+        "spec, bad",
+        [("soft:\u0665", "\u0665"), ("soft:1_0", "1_0"),
+         ("standard+skip:\u0660.\u0665", "\u0660.\u0665"), ("hard:1+skip:0.8_5", "0.8_5")],
+    )
+    def test_run_spec_float_must_be_ascii(self, tmp_path, capsys, no_corpus, spec, bad):
+        assert main(["compare", "--runs", f"{spec},hard:2", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: run spec {spec!r}: could not convert string to float: {bad!r}\n"
         )
 
     def test_standard_run_spec_takes_no_parameter(self, tmp_path, capsys, no_corpus):

@@ -20,6 +20,7 @@ from ctcfst import (
     iterate_paths,
     total_score,
 )
+from ctcfst.fsa import parse_float
 
 
 def canonical(fst: Fst):
@@ -142,6 +143,16 @@ class TestTextFormat:
     def test_integer_fields_must_be_ascii_digits(self, line):
         with pytest.raises(ValueError, match="malformed FST line"):
             fst_from_text(f"{line}\n1 2 -1 0 0\n2\n")
+
+    @pytest.mark.parametrize("weight", ["\u0665", "0.\u0665", "\uff15", "1_0", "1e1_0"])
+    def test_weight_must_be_ascii(self, weight):
+        with pytest.raises(ValueError, match="malformed FST line"):
+            fst_from_text(f"0 1 1 1 {weight}\n1\n")
+
+    def test_float_fields_parse_as_float_does(self):
+        for token in ("0.5", "-1e-5", "1e308", "inf", "-inf", " 2.5 ", "+3", ".5"):
+            assert parse_float(token) == float(token)
+        assert np.isnan(parse_float("nan"))
 
     def test_labels_may_be_negative(self):
         fst = fst_from_text("0 1 -1 -2 0.5\n1\n")

@@ -89,63 +89,67 @@ class TestGammaMax:
 
 class TestSweepThresholds:
     def test_default_grid(self):
-        rows = sweep_thresholds([[0.95, 0.5]], [1])
+        rows = sweep_thresholds([0.95, 0.5], 1)
         assert [r.beta for r in rows] == list(SWEEP_BETAS)
 
     def test_hand_built_single_utterance(self):
         probs = [0.99, 0.2, 0.95, 0.5]
-        rows = sweep_thresholds([probs], [2], betas=[0.9])
+        rows = sweep_thresholds(probs, 2, betas=[0.9])
         (row,) = rows
         assert row.ratio == classify_blank_frames(probs, 0.9).mean()
         assert row.gamma_max == 0.5
 
     def test_ratio_non_increasing_in_beta(self):
         rng = np.random.default_rng(3)
-        prob_sets = [rng.uniform(0, 1, size=rng.integers(5, 15)) for _ in range(10)]
-        counts = [int(rng.integers(1, 5)) for _ in prob_sets]
-        rows = sweep_thresholds(prob_sets, counts)
+        rows = sweep_thresholds(rng.uniform(0, 1, size=100), 25)
         ratios = [r.ratio for r in rows]
         assert all(b <= a for a, b in zip(ratios, ratios[1:]))
         assert all(0.0 <= r.ratio <= 1.0 for r in rows)
 
-    def test_frame_weighted_aggregation(self):
-        # 10 frames all skipped plus 10 frames none skipped: ratio is 0.5
-        # regardless of how the utterances are sized.
-        rows = sweep_thresholds([[0.99] * 10, [0.1] * 10], [2, 2], betas=[0.9])
-        assert rows[0].ratio == 0.5
-
     def test_empty_corpus_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            sweep_thresholds([], [], betas=[0.9])
+        with pytest.raises(ValueError, match="frame_count must be positive"):
+            sweep_thresholds([], 0, betas=[0.9])
 
     def test_rows_match_per_utterance_skip_masks(self):
         rng = np.random.default_rng(4)
         betas = (0.5, *SWEEP_BETAS)
         prob_sets = [rng.uniform(0, 1, size=rng.integers(1, 30)) for _ in range(40)]
         prob_sets += [np.array(betas), np.array([0.0, 1.0])]  # ties and bounds
-        counts = [1] * len(prob_sets)
         frames = sum(len(p) for p in prob_sets)
         want = [
             sum(int(classify_blank_frames(p, beta).sum()) for p in prob_sets) / frames
             for beta in betas
         ]
-        rows = sweep_thresholds(prob_sets, counts, betas)
+        rows = sweep_thresholds(np.concatenate(prob_sets), len(prob_sets), betas)
         assert [row.ratio for row in rows] == want
+        assert {row.gamma_max for row in rows} == {gamma_max(len(prob_sets), frames)}
 
-    def test_each_utterance_must_be_one_dimensional(self):
-        with pytest.raises(ValueError, match="1-D"):
-            sweep_thresholds([[0.2, 0.3], np.full((2, 2), 0.5)], [1, 1], betas=[0.9])
+    def test_blank_probs_must_be_one_dimensional(self):
+        for probs in (np.full((2, 2), 0.5), np.float64(0.5), [[]]):
+            with pytest.raises(ValueError, match="1-D"):
+                sweep_thresholds(probs, 1, betas=[0.9])
+
+    def test_empty_betas_rejected(self):
+        with pytest.raises(ValueError, match="betas must not be empty"):
+            sweep_thresholds([0.5], 1, betas=())
 
     def test_thresholds_are_checked_before_probabilities(self):
-        with pytest.raises(ValueError, match="threshold"):
-            sweep_thresholds([[1.5]], [0], betas=[0.9, 1.0])
+        for probs in ([1.5], [], np.full((2, 2), 1.5)):
+            with pytest.raises(ValueError, match="threshold must lie in"):
+                sweep_thresholds(probs, 9, betas=[0.9, 1.0])
+
+    def test_one_dimension_is_checked_before_the_token_bounds(self):
+        with pytest.raises(ValueError, match="1-D"):
+            sweep_thresholds(np.full((2, 2), 1.5), 9, betas=[0.9])
+        with pytest.raises(ValueError, match="token_count"):
+            sweep_thresholds([1.5], 9, betas=[0.9])
 
     @pytest.mark.parametrize(
         "probs, message",
-        [([0.5, np.nan], r"\[0, 1\]"), ([1.5], r"\[0, 1\]"), ([], "non-empty")],
+        [([0.5, np.nan], r"\[0, 1\]"), ([1.5], r"\[0, 1\]")],
     )
     def test_each_utterance_checked_as_classify_does(self, probs, message):
         with pytest.raises(ValueError, match=message):
             classify_blank_frames(probs, 0.9)
         with pytest.raises(ValueError, match=message):
-            sweep_thresholds([[0.2, 0.3], probs], [1, 1], betas=[0.9])
+            sweep_thresholds(np.concatenate([[0.2, 0.3], probs]), 1, betas=[0.9])

@@ -66,7 +66,9 @@ class TestGenerateCorpus:
 
     def test_reference_config_gamma_max(self):
         corpus = generate_corpus(CorpusConfig(num_utterances=200, seed=0))
-        assert corpus.gamma_max == pytest.approx(0.75, abs=0.02)
+        tokens = sum(len(u.labels) for u in corpus.utterances)
+        frames = sum(len(u.features) for u in corpus.utterances)
+        assert gamma_max(tokens, frames) == pytest.approx(0.75, abs=0.02)
 
     def test_structure(self):
         corpus = generate_corpus(SMALL)
@@ -568,6 +570,12 @@ class TestThreeHomes:
         assert grids == [feats.shape]
         assert masks == [(int(real.sum()),)] * 2  # one per threshold
 
+    def test_empty_betas_rejected(self):
+        classes = SMALL.vocab_size + 1
+        model = ctcfst.toy.ToyModel(np.zeros((SMALL.feature_dim, classes)), np.zeros(classes))
+        with pytest.raises(ValueError, match="betas must not be empty"):
+            evaluate(model, generate_corpus(SMALL), betas=())
+
     def test_report_matches_a_per_utterance_loop(self):
         model, _ = train(generate_corpus(SMALL), STANDARD, steps=200)
         corpus = generate_corpus(CorpusConfig(num_utterances=25, seed=12))
@@ -579,7 +587,7 @@ class TestThreeHomes:
             counts.append(len(u.labels))
             edits += edit_distance(greedy_decode(grid), u.labels)
         frames = sum(len(p) for p in prob_sets)
-        assert report.sweep == sweep_thresholds(prob_sets, counts)
+        assert report.sweep == sweep_thresholds(np.concatenate(prob_sets), sum(counts))
         assert any(point.ratio > 0 for point in report.sweep)
         assert report.token_error_rate == edits / sum(counts)
         assert report.gamma_max == gamma_max(sum(counts), frames)
@@ -631,3 +639,17 @@ class TestExperimentConfig:
         (key,) = bad
         with pytest.raises(ValueError, match=key):
             ExperimentConfig(**bad)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (dict(skip_beta=1.0), "skip_beta must lie in (0, 1), got 1"),
+            (dict(skip_beta=float("nan")), "skip_beta must lie in (0, 1), got nan"),
+            (dict(betas=(0.9, 0.0)), "betas must lie in (0, 1), got 0"),
+            (dict(betas=(0.5, 1.25)), "betas must lie in (0, 1), got 1.25"),
+        ],
+    )
+    def test_thresholds_share_the_skip_rule(self, bad, message):
+        with pytest.raises(ValueError) as info:
+            ExperimentConfig(**bad)
+        assert str(info.value) == message
