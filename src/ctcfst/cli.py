@@ -101,7 +101,7 @@ def _parse_labels(raw: str) -> tuple[list[int], bool]:
     if not raw:
         return [], False
     items = [item.strip() for item in raw.split(",")]
-    letters = all(len(item) == 1 and item.isascii() and item.isalpha() for item in items if item)
+    letters = all(_is_letter(item) for item in items if item)
     labels = []
     for item in items:
         if letters and item:
@@ -110,8 +110,23 @@ def _parse_labels(raw: str) -> tuple[list[int], bool]:
             try:
                 labels.append(integer(item))
             except ValueError:
-                raise ValueError(f"bad label {item!r}: use integers or single letters") from None
+                # Name the item that is neither a letter nor an integer, if
+                # one is; a letter is bad only among integers.
+                bad = next((x for x in items if not _is_letter(x) and not _is_integer(x)), item)
+                raise ValueError(f"bad label {bad!r}: use integers or single letters") from None
     return labels, letters
+
+
+def _is_letter(item: str) -> bool:
+    return len(item) == 1 and item.isascii() and item.isalpha()
+
+
+def _is_integer(item: str) -> bool:
+    try:
+        integer(item)
+    except ValueError:
+        return False
+    return True
 
 
 def _render_alignment(alignment: Sequence[int], letters: bool) -> str:

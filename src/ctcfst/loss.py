@@ -1,17 +1,20 @@
 """CTC negative log-likelihood and analytic gradients under any topology.
 
-One call, :func:`batch_loss`, on one batched forward-backward engine
-(:func:`pack` and :meth:`GraphBatch.total_and_occupancy`) gives per-row
-losses, occupancy and masked logit gradients. It serves :func:`ctc_loss`, as
-a batch of one with every frame kept, :func:`grad_check`, as one batch of
-bumped grids per frame, and the toy trainer, which masks out its padding and
-skipped frames. The engine lays each batch out ragged, so its work is the sum
-over graphs of states times kept frames, whatever the padding. Three
-independent implementations cross-check it in the tests: the dense
-forward-backward of :mod:`ctcfst.lattice` over any composed graph, the
-classic alpha recursion over the 2U+1 expanded label sequence (standard
-topology only) and a brute-force sum over enumerated alignments (all
-variants, small instances).
+One call, :func:`batch_loss`, on one batched forward-backward engine gives
+per-row losses, occupancy and masked logit gradients. The engine has two
+stages: :func:`pack` writes the CTC chains once, :meth:`GraphBatch.layout`
+lays them out for a keep mask, and :meth:`Layout.run` runs forward and
+backward fused, one log-add per step, over grids. It serves
+:func:`ctc_loss`, as a batch of one with every frame kept, :func:`grad_check`,
+whose bumped grids for every frame share one layout, and the toy trainer,
+which masks out its padding and skipped frames and lays the batch out again
+only when the mask changes. Each graph steps only through its own kept frames
+over its own states, so the work is the sum over graphs of states times kept
+frames, whatever the padding. Three independent implementations cross-check
+it in the tests: the dense forward-backward of :mod:`ctcfst.lattice` over any
+composed graph, the classic alpha recursion over the 2U+1 expanded label
+sequence (standard topology only) and a brute-force sum over enumerated
+alignments (all variants, small instances).
 """
 
 from __future__ import annotations
@@ -39,7 +42,10 @@ class GraphBatch:
     hard runs. The graphs' N states lie end to end in batch order, and the
     arcs are stored arc-major: one (N,) slot per arc index, holding the
     offset of the arc's other end from the state, so the offsets hold however
-    a call reorders whole graphs. A padded slot is offset 0 with weight -inf.
+    a layout reorders whole graphs. A padded slot is offset 0 with weight
+    -inf. The engine has two stages: :meth:`layout` does all the work that
+    depends only on a keep mask, and :meth:`Layout.run` the recursion over
+    the grids, so a caller whose mask holds builds one layout for many runs.
     """
 
     sym: np.ndarray  # (N,) input symbol of every arc entering the state
@@ -49,81 +55,147 @@ class GraphBatch:
     out_w: np.ndarray  # (K, N) its weight
     fin: np.ndarray  # (N,) final weight of the state, -inf if it is not final
     states: np.ndarray  # (B,) state count of each graph
+    classes: int  # C, the symbol count of the grids
 
-    def total_and_occupancy(self, grids, keep) -> tuple[np.ndarray, np.ndarray]:
-        """Log-total per graph and (B, T, C) symbol occupancy of (B, T, C) grids.
+    def layout(self, keep) -> Layout:
+        """The batch laid out for a (B, T) boolean mask of the frames each
+        graph consumes."""
+        return Layout(self, keep)
 
-        ``keep`` is a (B, T) boolean mask of the frames each graph consumes. A
-        dropped frame, whether past an utterance's end or skipped, has no
-        effect on the graph's total and its occupancy is 0, so each graph
-        steps only through its own kept frames, in order, and only over its
-        own states. The graphs are ordered by kept count and their states
-        laid end to end; step t then runs over the prefix of states whose
-        graphs keep more than t frames, and stores one cell per (step, live
-        state): the work is the sum over graphs of states times kept frames.
-        A graph's total is read after its last kept frame, where its beta is
-        seeded with the final weights. Raises :class:`NoPathError` if a graph
-        has no path through its kept frames.
-        """
-        frames = keep.shape[1]
-        kept = keep.sum(axis=1)
+
+class Layout:
+    """A :class:`GraphBatch` laid out for one keep mask, with its storage.
+
+    A dropped frame, whether past an utterance's end or skipped, has no
+    effect on its graph's total and its occupancy is 0, so each graph steps
+    only through its own kept frames, in order, and only over its own states.
+    The graphs are ordered by kept count and their states laid end to end;
+    step t then runs over the W_t states whose graphs keep more than t
+    frames, a prefix. A cell is one (step, live state) pair, so the work is
+    the sum over graphs of states times kept frames.
+
+    Forward and backward run fused, over s steps: iteration i computes alpha
+    at step i and beta at step s-2-i in one log-add. Block i of the storage
+    holds [beta + emit at step s-1-i, states reversed | alpha at step i-1],
+    and both halves read the window around the block's centre through one
+    (J, 2N) slot table: column N-1-n holds state n's out-arcs as N-1 minus
+    their destination, column N+n its in-arcs as N plus their source. J is
+    the larger slot count, and padding rows come last. So iteration i reads
+    the contiguous columns [N - W_(s-1-i), N + W_i) and writes one run of
+    block i+1. Pure alpha and beta are copied out, cells in time-major order,
+    for the occupancy. A graph's total is read after its last kept frame,
+    where its beta is seeded with the final weights.
+
+    The buffers belong to the layout and each run overwrites all it reads,
+    so one layout serves any number of runs in turn, but not two at once.
+    """
+
+    def __init__(self, batch: GraphBatch, keep):
+        self.keep = np.array(keep, dtype=bool)
+        if self.keep.ndim != 2 or len(self.keep) != len(batch.states):
+            raise ValueError(f"keep must be a ({len(batch.states)}, T) mask, not {self.keep.shape}")
+        self.keep.flags.writeable = False
+        frames = self.keep.shape[1]
+        self.shape = (len(batch.states), frames, batch.classes)
+        kept = self.keep.sum(axis=1)
         order = np.argsort(-kept, kind="stable")
-        kept, states = kept[order], self.states[order]
+        self.unorder = np.argsort(order)
+        kept, states = kept[order], batch.states[order]
         # The graphs' states end to end in ``order``: the n-th is packed
         # state node[n].
         nodes = int(states.sum())
-        starts = np.cumsum(states) - states
-        packed = np.cumsum(self.states) - self.states
-        node = np.arange(nodes) + np.repeat(packed[order] - starts, states)
-        in_src, out_dst = (arcs[:, node] + np.arange(nodes) for arcs in (self.in_src, self.out_dst))
-        in_w, out_w = self.in_w[:, node], self.out_w[:, node]
-        sym, fin = self.sym[node], self.fin[node]
-        # Step t runs the graphs that keep more than t frames, a prefix of
-        # ``order``, so a prefix of the states. alpha and beta are stored in
-        # blocks: block 0 holds every state, block t + 1 the states live at
-        # step t. A cell is one (step, live state) entry.
-        live = np.arange(kept[0])[:, None] < kept  # (steps, B)
-        step_of, graph_of = np.nonzero(live)  # the live (step, graph) pairs, time-major
-        count, width = states[graph_of], live @ states
-        bound = np.cumsum(np.concatenate(([0, nodes], width)))
-        bounds = bound.tolist()
-        end = bound[np.repeat(kept, states)] + np.arange(nodes)  # after the last kept frame
+        self.starts = np.cumsum(states) - states
+        packed = np.cumsum(batch.states) - batch.states
+        state = np.arange(nodes)
+        node = state + np.repeat(packed[order] - self.starts, states)
+        sym, self.fin = batch.sym[node], batch.fin[node]
+        # The slot table. A padding slot reads its own state through -inf.
+        index = np.tile(np.arange(2 * nodes), (max(len(batch.in_src), len(batch.out_dst)), 1))
+        weight = np.full(index.shape, -np.inf)
+        index[: len(batch.in_src), nodes:] += batch.in_src[:, node]
+        weight[: len(batch.in_w), nodes:] = batch.in_w[:, node]
+        index[: len(batch.out_dst), :nodes] -= batch.out_dst[:, node[::-1]]
+        weight[: len(batch.out_w), :nodes] = batch.out_w[:, node[::-1]]
+
+        steps = int(kept[0])
+        live = np.arange(steps)[:, None] < kept  # (steps, B)
+        step_of, self.graph_of = np.nonzero(live)  # the live (step, graph) pairs, time-major
+        self.count, width = states[self.graph_of], live @ states
+        first = np.concatenate(([0], np.cumsum(width)))  # each step's first cell
         # Each cell's flat index into the (B, T, C) grids: its graph's kept
-        # frame at its step, then its state's symbol.
-        rows = order[graph_of]
-        frame = rows * frames + np.argsort(~keep, axis=1, kind="stable")[rows, step_of]
-        cell = np.repeat(frame * grids.shape[2], count)
-        # The leading 0 keeps the list non-empty when no graph keeps a frame.
-        cell += np.concatenate([sym[:n] for n in [0, *width.tolist()]])
-        emit = grids.take(cell)
-        alpha = np.full(bounds[-1], -np.inf)
-        alpha[starts] = 0.0
+        # frame at its step, then its state's symbol. The leading 0 keeps
+        # the list non-empty when no graph keeps a frame.
+        rows = order[self.graph_of]
+        frame = rows * frames + np.argsort(~self.keep, axis=1, kind="stable")[rows, step_of]
+        self.cell = np.repeat(frame * batch.classes, self.count)
+        self.cell += np.concatenate([sym[:n] for n in [0, *width.tolist()]])
+        self.emit, self.alpha, self.beta = (np.empty(first[-1]) for _ in range(3))
+
+        # Block k is [beta + emit at step s-1-k | alpha at step k-1]; block
+        # 0's alpha, over every state, is the initial one. The lead puts
+        # block 0's window at 0.
+        back = np.append(width[::-1], 0)
+        ahead = np.concatenate(([nodes], width))
+        lead = nodes - back[0]
+        centre = lead + np.cumsum(back) + np.cumsum(ahead) - ahead
+        self.fused = np.empty(lead + back.sum() + ahead.sum())
+        self.fused[centre[0] : centre[0] + nodes] = -np.inf
+        self.fused[centre[0] + self.starts] = 0.0
+        # A graph's beta at its last kept frame is its final weights, and its
+        # total is read from alpha there.
+        state_kept = np.repeat(kept, states)
+        self.end = centre[state_kept] + state
+        ends = state_kept > 0
+        self.last = first[state_kept[ends] - 1] + state[ends]
+        self.last_at = centre[steps - state_kept[ends]] - 1 - state[ends]
+        self.last_fin = self.fin[ends]
+        self.beta[self.last] = self.last_fin
+
+        # Iteration i's window, table columns and output, the output split
+        # into its backward and forward halves, and the cells of each half.
+        self.sweep = []
+        for i, ahead_w in enumerate(width.tolist()):
+            back_w = int(width[steps - 1 - i]) if i < steps - 1 else 0
+            lo, mid, hi = centre[i + 1] - back_w, centre[i + 1], centre[i + 1] + ahead_w
+            cols = slice(nodes - back_w, nodes + ahead_w)
+            prior = first[steps - 2 - i] if back_w else 0  # the first cell of step s-2-i
+            behind = slice(prior, prior + back_w)
+            here = slice(first[i], first[i + 1])
+            self.sweep.append((
+                self.fused[centre[i] - nodes :], index[:, cols], weight[:, cols], self.fused[lo:hi],
+                self.fused[lo:mid], self.beta[behind][::-1], self.emit[behind][::-1],
+                self.fused[mid:hi], self.alpha[here], self.emit[here],
+            ))
+
+    def run(self, grids) -> tuple[np.ndarray, np.ndarray]:
+        """Log-total per graph and (B, T, C) symbol occupancy of (B, T, C)
+        grids over the kept frames; a dropped frame's occupancy is 0. Raises
+        :class:`NoPathError` if a graph has no path through its kept frames."""
+        grids = np.asarray(grids, dtype=float)
+        if grids.shape != self.shape:
+            raise ValueError(f"grids must be {self.shape}, not {grids.shape}")
+        emit = np.take(grids, self.cell, out=self.emit, mode="clip")
+        self.fused[self.last_at] = self.last_fin + emit[self.last]
         # The only NaN is a dead state's shifted slot, -inf - -inf, in
         # _log_add_arcs; its clamp absorbs it.
         with np.errstate(invalid="ignore"):
-            for t in range(len(width)):
-                lo, hi = bounds[t + 1], bounds[t + 2]
-                out = alpha[lo:hi]
-                _log_add_arcs(alpha[bounds[t] : lo], in_src[:, : hi - lo], in_w[:, : hi - lo], out)
-                out += emit[lo - nodes : hi - nodes]
-        total = np.logaddexp.reduceat(alpha[end] + fin, starts)
+            for step in self.sweep:
+                src, index, weight, out, back, beta, back_emit, ahead, alpha, ahead_emit = step
+                _log_add_arcs(src, index, weight, out)
+                beta[...] = back
+                back += back_emit
+                ahead += ahead_emit
+                alpha[...] = ahead
+        total = np.logaddexp.reduceat(self.fused[self.end] + self.fin, self.starts)
         # Checked before occupancy is formed, where -inf - -inf would be NaN.
         if (total == -np.inf).any():
             raise NoPathError("a graph in the batch has no path through its kept frames")
-        beta = np.empty_like(alpha)
-        beta[end] = fin
-        with np.errstate(invalid="ignore"):  # as in the forward loop
-            for t in range(len(width) - 1, 0, -1):  # not beta[0]: no occupancy reads it
-                lo, hi = bounds[t + 1], bounds[t + 2]
-                src = beta[lo:hi] + emit[lo - nodes : hi - nodes]
-                out = beta[bounds[t] : bounds[t] + hi - lo]
-                _log_add_arcs(src, out_dst[:, : hi - lo], out_w[:, : hi - lo], out)
-        post = alpha[nodes:]
-        post += beta[nodes:]
-        post -= np.repeat(total[graph_of], count)
+        post = self.alpha  # not read again before the next run writes it
+        post += self.beta
+        post -= np.repeat(total[self.graph_of], self.count)
         np.exp(post, out=post)
-        occupancy = np.bincount(cell, post, minlength=grids.size).reshape(grids.shape)
-        return total[np.argsort(order)], occupancy
+        occupancy = np.bincount(self.cell, post, minlength=grids.size).reshape(grids.shape)
+        return total[self.unorder], occupancy
 
 
 def _log_add_arcs(src, index, weight, out) -> None:
@@ -186,7 +258,7 @@ def pack(
     fin = np.full(nodes, -np.inf)
     final = np.fromiter(itertools.chain.from_iterable(finals), np.intp)
     fin[final + np.repeat(base, [len(f) for f in finals])] = 0.0
-    return GraphBatch(sym, in_src, in_w, out_dst, out_w, fin, states)
+    return GraphBatch(sym, in_src, in_w, out_dst, out_w, fin, states, num_classes)
 
 
 @dataclass
@@ -217,12 +289,12 @@ def log_softmax(logits) -> np.ndarray:
     return shifted
 
 
-def batch_loss(batch: GraphBatch, logp, keep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def batch_loss(layout: Layout, logp) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-row loss, logit gradient and occupancy of (B, T, C) log-softmax
-    grids over their ``keep`` frames, as in :meth:`GraphBatch.total_and_occupancy`.
-    The gradient is softmax minus occupancy on kept frames, 0 on dropped ones."""
-    total, occupancy = batch.total_and_occupancy(logp, keep)
-    return -total, np.where(keep[:, :, None], np.exp(logp) - occupancy, 0.0), occupancy
+    grids over the layout's kept frames, as in :meth:`Layout.run`. The
+    gradient is softmax minus occupancy on kept frames, 0 on dropped ones."""
+    total, occupancy = layout.run(logp)
+    return -total, np.where(layout.keep[:, :, None], np.exp(logp) - occupancy, 0.0), occupancy
 
 
 def ctc_loss(
@@ -238,9 +310,9 @@ def ctc_loss(
     if grid.ndim != 2 or grid.size == 0 or not np.isfinite(grid).all():
         raise ValueError(f"grid must be a finite T x (V+1) matrix, not {grid.shape}")
     num_frames, num_cols = grid.shape
-    batch = pack([labels], variant, num_frames, num_cols)
+    layout = pack([labels], variant, num_frames, num_cols).layout(np.ones((1, num_frames), bool))
     try:
-        loss, grad, occupancy = batch_loss(batch, grid[None], np.ones((1, num_frames), bool))
+        loss, grad, occupancy = batch_loss(layout, grid[None])
     except NoPathError:
         raise InfeasibleAlignmentError(num_frames, len(labels), variant) from None
     return LossResult(float(loss[0]), grad[0], occupancy[0])
@@ -322,8 +394,8 @@ def grad_check(
 ) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    The chain is packed once for 2C copies of the labels; each frame t runs
-    one batch of its C up- and C down-bumped logit grids.
+    The chain is packed and laid out once for 2C copies of the labels; each
+    frame t runs that layout on its C up- and C down-bumped logit grids.
     """
     if not 0 < epsilon < np.inf:
         raise ValueError(f"epsilon must be a finite positive number, got {epsilon:g}")
@@ -334,7 +406,7 @@ def grad_check(
             raise ValueError(f"epsilon {epsilon:g} bumps a logit past the float range")
     frames, classes = logits.shape
     batch = pack([labels] * 2 * classes, variant, frames, classes)
-    keep = np.ones((2 * classes, frames), dtype=bool)
+    layout = batch.layout(np.ones((2 * classes, frames), dtype=bool))
     cols = np.arange(classes)
     numeric = np.empty_like(analytic)
     for t in range(frames):
@@ -342,7 +414,7 @@ def grad_check(
         up, down = bumped[:classes], bumped[classes:]
         up[cols, t, cols] += epsilon
         down[cols, t, cols] = up[cols, t, cols] - 2 * epsilon
-        loss = batch_loss(batch, log_softmax(bumped), keep)[0]
+        loss = batch_loss(layout, log_softmax(bumped))[0]
         numeric[t] = (loss[:classes] - loss[classes:]) / (2 * epsilon)
     return float((np.abs(analytic - numeric) / (np.abs(numeric) + 1e-8)).max())
 

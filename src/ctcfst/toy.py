@@ -8,10 +8,11 @@ One home per fact, for the trainer and :func:`evaluate` alike: the batch
 layout is :meth:`SyntheticCorpus.padded`, the forward :meth:`ToyModel.grid`
 and the skip decision :func:`ctcfst.skip.classify_blank_frames`. Losses and
 logit gradients come from :func:`ctcfst.loss.batch_loss` over the CTC chains,
-packed once. A frame past an utterance's end and a frame skipped by
-``skip_beta`` are both left out of the engine's keep mask, and the engine
-steps each utterance only through its own kept frames over its own states,
-so padding costs the recursion nothing and skipping makes a step cheaper.
+packed once and laid out again only when the keep mask changes. A frame past
+an utterance's end and a frame skipped by ``skip_beta`` are both left out of
+the engine's keep mask, and the engine steps each utterance only through its
+own kept frames over its own states, so padding costs the recursion nothing
+and skipping makes a step cheaper.
 
 Token runs are emitted with an onset/sustain amplitude envelope: the first
 frame of a run carries the full class mean, later frames a scaled-down copy.
@@ -226,6 +227,7 @@ def train(
     engine = pack([u.labels for u in utts], variant, real.shape[1], classes)
     model = ToyModel(np.zeros((feats.shape[-1], classes)), np.zeros(classes))
     warmup_steps = int(round(warmup_fraction * steps))
+    layout = engine.layout(real)
     losses: list[float] = []
 
     flat = feats.reshape(-1, feats.shape[-1])
@@ -240,7 +242,9 @@ def train(
                     keep = real & ~classify_blank_frames(np.exp(logp[..., 0]), skip_beta)
                     infeasible = keep.sum(axis=1) < min_lens
                     keep[infeasible] = real[infeasible]
-                row_loss, grad_logits, _ = batch_loss(engine, logp, keep)
+                if not np.array_equal(keep, layout.keep):
+                    layout = engine.layout(keep)
+                row_loss, grad_logits, _ = batch_loss(layout, logp)
             except (ValueError, NoPathError):  # non-finite logits; no path
                 raise TrainingDivergedError(step) from None
             losses.append(float(np.mean(row_loss)))

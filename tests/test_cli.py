@@ -439,6 +439,18 @@ class TestBadInputExitsOne:
         assert out.out == ""
         assert out.err == f"error: bad label {bad!r}: use integers or single letters\n"
 
+    # A letter is a bad label only among integers, and then only when no
+    # item is neither.
+    @pytest.mark.parametrize("labels, bad", [("A,B1", "B1"), ("A,1,B1", "B1"), ("A,1", "A"),
+                                             ("1,A", "A")])
+    def test_the_item_that_is_neither_letter_nor_integer_is_the_bad_label(
+        self, capsys, labels, bad
+    ):
+        assert main(["align", "--labels", labels, "--frames", "3"]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: bad label {bad!r}: use integers or single letters\n"
+
     @pytest.mark.parametrize("labels", ["A,,B", "A,", "1,,2"])
     def test_empty_label_is_the_bad_label(self, capsys, labels):
         assert main(["align", "--labels", labels, "--frames", "3"]) == 1

@@ -410,7 +410,7 @@ class TestLogAddArcs:
         batch = pack([[], []], STANDARD, 3, 3)
         assert batch.in_src.shape[0] == batch.out_dst.shape[0] == 1
         grids = np.log(np.full((2, 3, 3), 1 / 3))
-        total, occupancy = batch.total_and_occupancy(grids, np.ones((2, 3), bool))
+        total, occupancy = batch.layout(np.ones((2, 3), bool)).run(grids)
         assert total == pytest.approx(3 * math.log(1 / 3), abs=1e-12)
         assert np.array_equal(occupancy[:, :, 0], np.ones((2, 3)))
 

@@ -35,7 +35,7 @@ from ctcfst import (
     total_score,
     train,
 )
-from ctcfst.loss import batch_loss, pack
+from ctcfst.loss import GraphBatch, batch_loss, grad_check, pack
 from ctcfst.topology import build_training_graph
 from ctcfst.toy import ExperimentConfig, ToyModel
 
@@ -190,7 +190,7 @@ RAGGED_BATCH = _ragged_batch()
 
 def assert_engine_matches_lattice(labels_list, grids, variant):
     batch, padded, keep = packed_batch(labels_list, grids, variant)
-    total, occupancy = batch.total_and_occupancy(padded, keep)
+    total, occupancy = batch.layout(keep).run(padded)
     assert not occupancy[~keep].any()
     for n, (labels, grid) in enumerate(zip(labels_list, grids)):
         want_total, want_occupancy = lattice_oracle(labels, grid, variant)
@@ -239,7 +239,7 @@ class TestGraphBatchEngine:
                     ctc_loss(labels, grid, variant)
             engine, padded, keep = packed_batch(labels_list, grids, variant)
             with pytest.raises(NoPathError):
-                engine.total_and_occupancy(padded, keep)
+                engine.layout(keep).run(padded)
 
     # Not hard(2): two kept frames alone pack the standard chain, which gives
     # the same loss as the bounded chain packed for the batch, but not the
@@ -250,8 +250,9 @@ class TestGraphBatchEngine:
     def test_dropped_frames_match_the_kept_frames_alone(self, variant, batch):
         labels_list, grids, masks = batch
         engine, padded, keep = packed_batch(labels_list, grids, variant, masks)
-        total, occupancy = engine.total_and_occupancy(padded, keep)
-        loss, grad, shared_occupancy = batch_loss(engine, padded, keep)
+        layout = engine.layout(keep)
+        total, occupancy = layout.run(padded)
+        loss, grad, shared_occupancy = batch_loss(layout, padded)
         assert np.array_equal(loss, -total)
         assert np.array_equal(shared_occupancy, occupancy)
         assert not occupancy[~keep].any()
@@ -273,10 +274,10 @@ class TestGraphBatchEngine:
         # count, states or arcs may change a bit of its result.
         labels_list, grids, masks = batch
         engine, padded, keep = packed_batch(labels_list, grids, variant, masks)
-        total, occupancy = engine.total_and_occupancy(padded, keep)
+        total, occupancy = engine.layout(keep).run(padded)
         for n, labels in enumerate(labels_list):
             alone = pack([labels], variant, padded.shape[1], CLASSES)
-            one_total, one_occupancy = alone.total_and_occupancy(padded[n, None], keep[n, None])
+            one_total, one_occupancy = alone.layout(keep[n, None]).run(padded[n, None])
             assert total[n] == one_total[0]
             assert np.array_equal(occupancy[n], one_occupancy[0])
 
@@ -291,7 +292,7 @@ class TestGraphBatchEngine:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NoPathError):
-                engine.total_and_occupancy(padded, keep)
+                engine.layout(keep).run(padded)
 
     @pytest.mark.parametrize("over", [0, 1, 1000])
     def test_hard_bound_of_at_least_the_frames_packs_the_standard_chain(self, over):
@@ -302,7 +303,7 @@ class TestGraphBatchEngine:
         capped, _, _ = packed_batch(labels_list, grids, hard(7 + over))
         assert capped.states.tolist() == standard.states.tolist() == [1 + 3 * 2, 1 + 2, 1]
         for got, want in zip(
-            capped.total_and_occupancy(padded, keep), standard.total_and_occupancy(padded, keep)
+            capped.layout(keep).run(padded), standard.layout(keep).run(padded)
         ):
             assert np.array_equal(got, want)
         below, _, _ = packed_batch(labels_list, grids, hard(6))
@@ -317,9 +318,9 @@ class TestGraphBatchEngine:
         labels_list, grids, masks = batch
         perm = data.draw(st.permutations(range(len(grids))))
         engine, padded, keep = packed_batch(labels_list, grids, variant, masks)
-        total, occupancy = engine.total_and_occupancy(padded, keep)
+        total, occupancy = engine.layout(keep).run(padded)
         shuffled = pack([labels_list[n] for n in perm], variant, padded.shape[1], CLASSES)
-        got_total, got_occupancy = shuffled.total_and_occupancy(padded[perm], keep[perm])
+        got_total, got_occupancy = shuffled.layout(keep[perm]).run(padded[perm])
         assert np.array_equal(got_total, total[perm])
         assert np.array_equal(got_occupancy, occupancy[perm])
 
@@ -339,7 +340,7 @@ class TestGraphBatchEngine:
             mask[rng.choice(shortest + 3, shortest, replace=False)] = True
             masks.append(mask)
         engine, padded, keep = packed_batch(labels_list, grids, variant, masks)
-        total, occupancy = engine.total_and_occupancy(padded, keep)
+        total, occupancy = engine.layout(keep).run(padded)
         for n, (labels, grid, mask) in enumerate(zip(labels_list, grids, masks)):
             path = []
             for tok, prev in zip(labels, [None, *labels]):
@@ -356,7 +357,7 @@ def masked_losses(batch, variant):
     """Per-row loss of a ``masked_batches`` draw under ``variant``."""
     labels_list, grids, masks = batch
     engine, padded, keep = packed_batch(labels_list, grids, variant, masks)
-    return -engine.total_and_occupancy(padded, keep)[0]
+    return -engine.layout(keep).run(padded)[0]
 
 
 def no_less(high, low):
@@ -373,7 +374,7 @@ class TestInvariants:
     def test_kept_occupancy_rows_sum_to_one_and_dropped_rows_are_zero(self, variant, batch):
         labels_list, grids, masks = batch
         engine, padded, keep = packed_batch(labels_list, grids, variant, masks)
-        _, occupancy = engine.total_and_occupancy(padded, keep)
+        _, occupancy = engine.layout(keep).run(padded)
         assert np.abs(occupancy[keep].sum(axis=1) - 1.0).max() <= 1e-9
         assert not occupancy[~keep].any()
 
@@ -402,11 +403,12 @@ class TestInvariants:
 
 
 class TestRaggedCost:
-    """A timing-free guard on the engine's cost: each direction hands
-    ``_log_add_arcs`` one slot cell per arc slot, state and kept frame of
-    each graph, and none for padded states or dropped frames."""
+    """A timing-free guard on the engine's cost: the fused sweep makes one
+    ``_log_add_arcs`` call per step, and hands it one slot cell per table
+    row, state and kept frame of each graph in each direction, and none for
+    padded states or dropped frames."""
 
-    @pytest.mark.parametrize("variant", [STANDARD, soft(0.3), hard(1), hard(2)], ids=str)
+    @pytest.mark.parametrize("variant", [STANDARD, soft(0.3), hard(1), hard(2), hard(4)], ids=str)
     def test_slot_cells_are_slots_times_states_times_kept_frames(self, variant, monkeypatch):
         corpus = generate_corpus(CorpusConfig(num_utterances=40, seed=3))
         labels_list = [u.labels for u in corpus.utterances]
@@ -419,6 +421,7 @@ class TestRaggedCost:
         classes = corpus.config.vocab_size + 1
         grids = log_softmax(rng.standard_normal(real.shape + (classes,)))
         engine = pack(labels_list, variant, real.shape[1], classes)
+        layout = engine.layout(keep)
 
         cells = []
         log_add_arcs = ctcfst.loss._log_add_arcs
@@ -428,18 +431,97 @@ class TestRaggedCost:
             log_add_arcs(src, index, weight, out)
 
         monkeypatch.setattr(ctcfst.loss, "_log_add_arcs", spy)
-        engine.total_and_occupancy(grids, keep)
+        layout.run(grids)
         # A chain has a blank state, then per label a run of one state
         # (hard: max_run states) and a blank state.
         run = variant.max_run if variant.kind == "hard" else 1
         states = np.array([1 + (run + 1) * len(labels) for labels in labels_list])
         kept = keep.sum(axis=1)
-        steps = int(kept.max())
+        # One table serves both directions, so it has the larger slot count.
+        slots = max(len(engine.in_src), len(engine.out_dst))
         # Forward runs every kept frame; backward every one but the first,
         # whose beta no occupancy reads.
-        assert len(cells) == 2 * steps - 1
-        assert sum(cells[:steps]) == len(engine.in_src) * (states * kept).sum()
-        assert sum(cells[steps:]) == len(engine.out_dst) * (states * (kept - 1)).sum()
+        assert len(cells) == int(kept.max())
+        assert sum(cells) == slots * ((states * kept).sum() + (states * (kept - 1)).sum())
+
+
+class TestLayoutReuse:
+    """A layout's buffers carry nothing from one run to the next: a layout
+    reused on several grids, and after a run that raised, gives what a fresh
+    layout per grid gives, bit for bit."""
+
+    LABELS = [[1, 2, 2, 3], [3], [], [2, 1, 1], [1, 3], [3, 3]]
+
+    # hard(3) and hard(4) have more in-arc than out-arc slots.
+    @pytest.mark.parametrize("variant", [STANDARD, soft(0.3), hard(2), hard(3), hard(4)], ids=str)
+    def test_a_reused_layout_matches_a_fresh_one_bit_for_bit(self, variant):
+        rng = np.random.default_rng(31)
+        frames = 12
+        keep = rng.random((len(self.LABELS), frames)) < 0.6
+        for row, labels in enumerate(self.LABELS):
+            keep[row, : min_alignment_length(labels)] = True
+        keep[1] = keep[2] = np.arange(frames) == 5  # rows that keep exactly 1 frame
+        engine = pack(self.LABELS, variant, frames, CLASSES)
+        grids = [
+            log_softmax(scale * rng.standard_normal((len(self.LABELS), frames, CLASSES)))
+            for scale in (1.0, 30.0, 5.0)
+        ]
+        dead = grids[0].copy()
+        dead[3, keep[3].argmax()] = -np.inf  # row 3 has no path left
+        layout = engine.layout(keep)
+        for grid in (grids[0], grids[1], dead, grids[2], grids[0]):
+            if grid is dead:
+                with pytest.raises(NoPathError):
+                    layout.run(grid)
+                continue
+            got, want = layout.run(grid), engine.layout(keep).run(grid)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+
+    def test_the_layout_keeps_its_own_copy_of_the_mask(self):
+        grids = log_softmax(np.random.default_rng(32).standard_normal((2, 4, CLASSES)))
+        keep = np.ones((2, 4), dtype=bool)
+        engine = pack([[1], [2, 3]], STANDARD, 4, CLASSES)
+        layout = engine.layout(keep)
+        want = layout.run(grids)
+        keep[:, 0] = False
+        assert layout.keep.all()
+        assert np.array_equal(layout.run(grids)[1], want[1])
+
+
+class TestLayoutBuilds:
+    """A timing-free guard on the layout cache: the trainer builds a layout
+    only when its keep mask changes, and ``grad_check`` one for all its frames."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        masks = []
+        layout = GraphBatch.layout
+
+        def spy(batch, keep):
+            masks.append(np.array(keep))
+            return layout(batch, keep)
+
+        monkeypatch.setattr(GraphBatch, "layout", spy)
+        return masks
+
+    def test_a_run_without_skipping_builds_one_layout(self, builds):
+        train(generate_corpus(SMALL), hard(2), steps=20)
+        assert len(builds) == 1
+
+    def test_a_skipping_run_builds_a_layout_only_when_the_mask_changes(self, builds):
+        steps = 40
+        train(generate_corpus(SMALL), STANDARD, steps=steps, skip_beta=0.5, warmup_fraction=0.25)
+        assert 2 <= len(builds) <= steps
+        assert all(not np.array_equal(a, b) for a, b in zip(builds, builds[1:]))
+
+    def test_grad_check_lays_out_its_frame_batches_once(self, builds):
+        frames, classes = 6, 4
+        logits = np.random.default_rng(33).standard_normal((frames, classes))
+        grad_check([1, 2, 2], logits)
+        # ctc_loss's layout for the analytic gradient, then one that every
+        # frame's 2C bumped grids share.
+        assert [mask.shape for mask in builds] == [(1, frames), (2 * classes, frames)]
 
 
 class TestTrain:
