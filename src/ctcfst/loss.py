@@ -10,11 +10,9 @@ whose bumped grids for every frame share one layout, and the toy trainer,
 which masks out its padding and skipped frames and lays the batch out again
 only when the mask changes. Each graph steps only through its own kept frames
 over its own states, so the work is the sum over graphs of states times kept
-frames, whatever the padding. Three independent implementations cross-check
-it in the tests: the dense forward-backward of :mod:`ctcfst.lattice` over any
-composed graph, the classic alpha recursion over the 2U+1 expanded label
-sequence (standard topology only) and a brute-force sum over enumerated
-alignments (all variants, small instances).
+frames, whatever the padding. The tests cross-check it against the dense
+forward-backward of :mod:`ctcfst.lattice` and the oracles of
+:mod:`ctcfst.reference`.
 """
 
 from __future__ import annotations
@@ -27,9 +25,8 @@ import numpy as np
 
 from .errors import InfeasibleAlignmentError, NoPathError
 from .fsa import parse_int
-from .topology import (
-    STANDARD, TopologyVariant, _chain, _validate_labels, collapse_ctc, enumerate_alignments
-)
+from .topology import STANDARD, TopologyVariant, _chain, _validate_labels, collapse_ctc
+from .reference import ctc_loss_alpha  # noqa: F401  benchmarks/run.py reads it here
 
 
 @dataclass(frozen=True)
@@ -238,7 +235,7 @@ def pack(
     """Pack the CTC chains of ``label_seqs`` for (num_frames, num_classes) grids.
 
     The chains are :func:`ctcfst.topology._chain`'s for ``num_frames``
-    frames; the tests hold them to :func:`build_training_graph`. A state's
+    frames; the tests hold them to :func:`ctcfst.reference.build_training_graph`. A state's
     in-arcs take slots by increasing source, its out-arcs by increasing
     destination. Raises ``ValueError`` for a label outside 1..``num_classes - 1``.
     """
@@ -316,74 +313,6 @@ def ctc_loss(
     except NoPathError:
         raise InfeasibleAlignmentError(num_frames, len(labels), variant) from None
     return LossResult(float(loss[0]), grad[0], occupancy[0])
-
-
-def ctc_loss_alpha(labels: Sequence[int], grid) -> float:
-    """Standard-topology CTC loss via the classic forward recursion.
-
-    Works over the blank-interleaved state sequence of length 2U+1; kept as
-    an independent cross-check of :func:`ctc_loss`.
-    """
-    grid = np.asarray(grid, dtype=float)
-    num_frames = grid.shape[0]
-    ext = [0]
-    for tok in labels:
-        ext.extend((tok, 0))
-    m = len(ext)
-    neg_inf = float("-inf")
-    alpha = np.full(m, neg_inf)
-    alpha[0] = grid[0, 0]
-    if m > 1:
-        alpha[1] = grid[0, ext[1]]
-    for t in range(1, num_frames):
-        prev = alpha
-        alpha = np.full(m, neg_inf)
-        for s in range(m):
-            acc = prev[s]
-            if s >= 1:
-                acc = np.logaddexp(acc, prev[s - 1])
-            if s >= 2 and ext[s] != 0 and ext[s] != ext[s - 2]:
-                acc = np.logaddexp(acc, prev[s - 2])
-            alpha[s] = acc + grid[t, ext[s]]
-    total = alpha[m - 1]
-    if m > 1:
-        total = np.logaddexp(total, alpha[m - 2])
-    if not np.isfinite(total):
-        raise InfeasibleAlignmentError(num_frames, len(labels), STANDARD)
-    return float(-total)
-
-
-def _soft_penalty(alignment: Sequence[int], penalty: float) -> float:
-    # One penalty per non-blank self-loop traversal: run length minus one.
-    total = 0.0
-    prev = None
-    for k in alignment:
-        if k != 0 and k == prev:
-            total += penalty
-        prev = k
-    return total
-
-
-def brute_force_loss(
-    labels: Sequence[int], grid, variant: TopologyVariant = STANDARD
-) -> float:
-    """Loss by direct summation over enumerated alignments (test oracle).
-
-    Inherits the enumeration guard (frames <= 12, <= 4 distinct symbols).
-    """
-    grid = np.asarray(grid, dtype=float)
-    num_frames = grid.shape[0]
-    alignments = enumerate_alignments(labels, num_frames, variant)
-    if not alignments:
-        raise InfeasibleAlignmentError(num_frames, len(labels), variant)
-    scores = []
-    for pi in alignments:
-        score = sum(grid[t, k] for t, k in enumerate(pi))
-        if variant.kind == "soft":
-            score -= _soft_penalty(pi, variant.penalty)
-        scores.append(score)
-    shift = max(scores)
-    return float(-(shift + np.log(sum(np.exp(s - shift) for s in scores))))
 
 
 def grad_check(

@@ -15,7 +15,8 @@ Three topology variants are supported:
 A transcript's training graph, whose paths at a fixed frame count are its
 valid alignments, is its CTC chain (:func:`build_chain`, which ``topo build
 --labels`` emits and the loss engine packs). Composing the topology with the
-linear graph (:func:`build_training_graph`) is the tests' reference for it.
+linear graph (:func:`ctcfst.reference.build_training_graph`) is the tests'
+reference for it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .fsa import BLANK, EPSILON, TERMINAL, Fst, compose, connect
+from .fsa import BLANK, EPSILON, TERMINAL, Fst
 
 MAX_ENUM_FRAMES = 12
 MAX_ENUM_SYMBOLS = 4
@@ -120,31 +121,6 @@ def build_topology(vocab_size: int, variant: TopologyVariant = STANDARD) -> Fst:
     return fst
 
 
-def build_linear_graph(labels: Sequence[int], vocab_size: int | None = None) -> Fst:
-    """Linear acceptor of a token sequence: a U+1-state chain plus the final
-    sentinel arc. All weights are 0; the empty sequence accepts epsilon."""
-    _validate_labels(labels, vocab_size)
-    fst = Fst()
-    chain = [fst.add_state() for _ in range(len(labels) + 1)]
-    final = fst.add_state()
-    fst.start, fst.final = chain[0], final
-    for i, tok in enumerate(labels):
-        fst.add_arc(chain[i], chain[i + 1], tok, tok)
-    fst.add_arc(chain[-1], final, TERMINAL, EPSILON)
-    return fst
-
-
-def build_training_graph(
-    labels: Sequence[int], vocab_size: int, variant: TopologyVariant = STANDARD
-) -> Fst:
-    """Training graph for one utterance: topology composed with the label
-    chain, trimmed. Identical adjacent labels force a mandatory blank in
-    between."""
-    topo = build_topology(vocab_size, variant)
-    linear = build_linear_graph(labels, vocab_size)
-    return connect(compose(topo, linear))
-
-
 def _run_shape(variant: TopologyVariant, num_frames: float = float("inf")):
     """A label run's depth and self-loop weight (None: no loop). A standard or
     soft run is one state that keeps its self-loop; a hard bound
@@ -179,7 +155,7 @@ def build_chain(labels: Sequence[int], vocab_size: int, variant: TopologyVariant
     and a blank state, then a final state entered by ``TERMINAL`` arcs. A
     hard run is ``max_run`` states in a row, a standard or soft run one state
     with a self-loop weighted ``-penalty`` (0 for standard). This is
-    :func:`build_training_graph` numbered in chain order, which for
+    :func:`ctcfst.reference.build_training_graph` numbered in chain order, which for
     standard, soft and hard(k <= 2) is the composed graph's own numbering.
     Raises ``ValueError`` for more than ``MAX_GRAPH_ARCS`` arcs."""
     if vocab_size < 1:
@@ -221,8 +197,8 @@ def enumerate_alignments(
     blank plus the transcript's symbols that collapses to the transcript,
     filtered by the hard run-length rule when applicable.
 
-    Guarded to ``frames`` <= 12 and <= 4 distinct symbols; this is the
-    test oracle, not a production path.
+    Guarded to ``frames`` <= 12 and <= 4 distinct symbols: it serves
+    ``align`` and the brute-force oracle, not the loss.
     """
     _validate_labels(labels, None)
     if frames < 0:
@@ -243,3 +219,7 @@ def enumerate_alignments(
             continue
         out.add(candidate)
     return out
+
+
+# benchmarks/run.py reads the reference graph here. Imported last: reference imports this module.
+from .reference import build_training_graph  # noqa: E402,F401

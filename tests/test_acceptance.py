@@ -20,23 +20,20 @@ from ctcfst import (
     STANDARD,
     CorpusConfig,
     InfeasibleAlignmentError,
-    brute_force_loss,
-    build_training_graph,
     ctc_loss,
-    ctc_loss_alpha,
     enumerate_alignments,
     evaluate,
     gamma_max,
     generate_corpus,
     grad_check,
     hard,
-    intersect_dense,
-    iterate_paths,
     run_experiment,
     soft,
     train,
 )
 from ctcfst.cli import main
+from ctcfst.lattice import intersect_dense, iterate_paths
+from ctcfst.reference import brute_force_loss, build_training_graph, ctc_loss_alpha
 from ctcfst.toy import DEFAULT_RUNS, ExperimentConfig
 
 ACCEPTANCE_VARIANTS = (STANDARD, soft(0.05), soft(5.0), hard(1), hard(2))

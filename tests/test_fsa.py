@@ -8,19 +8,14 @@ from ctcfst import (
     BLANK,
     Fst,
     NoPathError,
-    build_linear_graph,
     build_topology,
     collapse_ctc,
-    compose,
-    connect,
-    fst_from_text,
     fst_to_text,
     hard,
-    intersect_dense,
-    iterate_paths,
-    total_score,
 )
 from ctcfst.fsa import parse_float
+from ctcfst.lattice import intersect_dense, iterate_paths, total_score
+from ctcfst.reference import build_linear_graph, compose, connect, fst_from_text
 
 
 def canonical(fst: Fst):

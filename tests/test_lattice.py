@@ -10,20 +10,15 @@ from ctcfst import (
     STANDARD,
     Fst,
     NoPathError,
-    brute_force_loss,
     build_chain,
-    build_training_graph,
     enumerate_alignments,
     hard,
-    intersect_dense,
-    iterate_paths,
     log_softmax,
-    occupancy,
     soft,
-    total_score,
 )
 from ctcfst.fsa import TERMINAL
-from ctcfst.loss import _soft_penalty
+from ctcfst.lattice import intersect_dense, iterate_paths, occupancy, total_score
+from ctcfst.reference import _soft_penalty, brute_force_loss, build_training_graph
 
 
 def make_lattice(labels, grid, variant=STANDARD):

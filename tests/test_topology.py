@@ -10,18 +10,15 @@ from ctcfst import (
     STANDARD,
     TopologyVariant,
     build_chain,
-    build_linear_graph,
     build_topology,
-    build_training_graph,
     collapse_ctc,
     enumerate_alignments,
     fst_to_text,
     hard,
-    intersect_dense,
-    iterate_paths,
     soft,
-    total_score,
 )
+from ctcfst.lattice import intersect_dense, iterate_paths, total_score
+from ctcfst.reference import build_linear_graph, build_training_graph
 
 
 def lattice_label_sets(labels, vocab, frames, variant):

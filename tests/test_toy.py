@@ -24,19 +24,17 @@ from ctcfst import (
     generate_corpus,
     greedy_decode,
     hard,
-    intersect_dense,
     log_softmax,
     min_alignment_length,
-    occupancy,
     run_experiment,
     soft,
     sweep_thresholds,
     token_means,
-    total_score,
     train,
 )
+from ctcfst.lattice import intersect_dense, occupancy, total_score
 from ctcfst.loss import GraphBatch, batch_loss, grad_check, pack
-from ctcfst.topology import build_training_graph
+from ctcfst.reference import build_training_graph
 from ctcfst.toy import ExperimentConfig, ToyModel
 
 SMALL = CorpusConfig(num_utterances=30, seed=11)
