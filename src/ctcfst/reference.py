@@ -1,17 +1,10 @@
-"""Test oracles: engine-independent references for the product code.
+"""Test oracles, beside the dense forward-backward of :mod:`ctcfst.lattice`.
 
-None of this runs behind the ``ctcfst`` command or the trainer. The tests
-hold the product code to it, beside the dense forward-backward of
-:mod:`ctcfst.lattice`:
-
-* :func:`compose` and :func:`connect`, generic weighted composition and
-  trimming, and :func:`build_training_graph`, the topology composed with the
-  transcript's linear graph, the reference for ``topology.build_chain``;
-* :func:`fst_from_text`, the parser of the text FST format;
-* :func:`ctc_loss_alpha`, the classic alpha recursion over the 2U+1 expanded
-  label sequence (standard topology only), and :func:`brute_force_loss`, a
-  sum over enumerated alignments (all variants, small instances), the
-  references for ``loss.ctc_loss``.
+Nothing here runs behind the ``ctcfst`` command or the trainer. The topology
+composed with the transcript (:func:`build_training_graph`) checks
+``topology.build_chain``; the classic alpha recursion (:func:`ctc_loss_alpha`)
+and a sum over enumerated alignments (:func:`brute_force_loss`) check
+``loss.ctc_loss``.
 """
 
 from __future__ import annotations
@@ -27,6 +20,19 @@ from .topology import (
 )
 
 
+def _reachable(seed: int, edges: list[list[int]]) -> list[bool]:
+    """Which states a walk from ``seed`` along ``edges[state]`` reaches."""
+    seen = [False] * len(edges)
+    seen[seed] = True
+    stack = [seed]
+    while stack:
+        for state in edges[stack.pop()]:
+            if not seen[state]:
+                seen[state] = True
+                stack.append(state)
+    return seen
+
+
 def connect(fst: Fst) -> Fst:
     """Trim states unreachable from start or not co-reachable to final.
 
@@ -36,44 +42,25 @@ def connect(fst: Fst) -> Fst:
     """
     if fst.is_empty or fst.start is None or fst.final is None:
         return Fst()
-
-    n = fst.num_states
-    forward = [False] * n
-    forward[fst.start] = True
-    stack = [fst.start]
-    while stack:
-        s = stack.pop()
-        for arc in fst.arcs_from(s):
-            if not forward[arc.dst]:
-                forward[arc.dst] = True
-                stack.append(arc.dst)
-
-    incoming: list[list[int]] = [[] for _ in range(n)]
+    outgoing: list[list[int]] = [[] for _ in range(fst.num_states)]
+    incoming: list[list[int]] = [[] for _ in range(fst.num_states)]
     for arc in fst.arcs():
+        outgoing[arc.src].append(arc.dst)
         incoming[arc.dst].append(arc.src)
-    backward = [False] * n
-    backward[fst.final] = True
-    stack = [fst.final]
-    while stack:
-        s = stack.pop()
-        for src in incoming[s]:
-            if not backward[src]:
-                backward[src] = True
-                stack.append(src)
-
-    keep = [s for s in range(n) if forward[s] and backward[s]]
-    remap = {old: new for new, old in enumerate(keep)}
-    if fst.start not in remap or fst.final not in remap:
+    forward, backward = _reachable(fst.start, outgoing), _reachable(fst.final, incoming)
+    useful = [f and b for f, b in zip(forward, backward)]
+    if not useful[fst.start]:  # then no path reaches final either
         return Fst()
 
+    keep = [s for s, u in enumerate(useful) if u]
+    remap = {old: new for new, old in enumerate(keep)}
     out = Fst()
     for _ in keep:
         out.add_state()
-    out.start = remap[fst.start]
-    out.final = remap[fst.final]
+    out.start, out.final = remap[fst.start], remap[fst.final]
     for old in keep:
         for arc in fst.arcs_from(old):
-            if forward[arc.dst] and backward[arc.dst]:
+            if useful[arc.dst]:
                 out.add_arc(remap[old], remap[arc.dst], arc.ilabel, arc.olabel, arc.weight)
     return out
 
@@ -84,7 +71,8 @@ def compose(a: Fst, b: Fst) -> Fst:
     Output-epsilon arcs of ``a`` advance ``a`` alone. Terminal sentinel arcs
     (ilabel -1) of the two operands are taken together, so the composed
     machine keeps the single-final-state convention. Weights combine by
-    log-semiring multiplication (real addition).
+    log-semiring multiplication (real addition). States are numbered in the
+    breadth-first order that the walk from the start pair finds them.
     """
     if a.is_empty or b.is_empty:
         return Fst()
@@ -94,59 +82,37 @@ def compose(a: Fst, b: Fst) -> Fst:
 
     out = Fst()
     state_of: dict[tuple[int, int], int] = {}
+    queue: list[tuple[int, int]] = []
 
     def state(pair: tuple[int, int]) -> int:
+        """The pair's state, made and queued for the walk on first sight."""
         sid = state_of.get(pair)
         if sid is None:
-            sid = out.add_state()
-            state_of[pair] = sid
+            sid = state_of[pair] = out.add_state()
+            queue.append(pair)
         return sid
 
-    start_pair = (a.start, b.start)
-    queue = [start_pair]
-    state(start_pair)
-    head = 0
-    while head < len(queue):
-        sa, sb = queue[head]
-        head += 1
-        here = state_of[(sa, sb)]
+    out.start = state((a.start, b.start))
+    for sa, sb in queue:  # the walk appends to the queue as it goes
+        here = state_of[sa, sb]
         for arc_a in a.arcs_from(sa):
-            if arc_a.ilabel == TERMINAL:
-                for arc_b in b.arcs_from(sb):
-                    if arc_b.ilabel == TERMINAL:
-                        pair = (arc_a.dst, arc_b.dst)
-                        fresh = pair not in state_of
-                        out.add_arc(
-                            here, state(pair), TERMINAL, EPSILON, arc_a.weight + arc_b.weight
-                        )
-                        if fresh:
-                            queue.append(pair)
-            elif arc_a.olabel == EPSILON:
-                pair = (arc_a.dst, sb)
-                fresh = pair not in state_of
-                out.add_arc(here, state(pair), arc_a.ilabel, EPSILON, arc_a.weight)
-                if fresh:
-                    queue.append(pair)
-            else:
-                for arc_b in b.arcs_from(sb):
-                    if arc_b.ilabel == arc_a.olabel:
-                        pair = (arc_a.dst, arc_b.dst)
-                        fresh = pair not in state_of
-                        out.add_arc(
-                            here,
-                            state(pair),
-                            arc_a.ilabel,
-                            arc_b.olabel,
-                            arc_a.weight + arc_b.weight,
-                        )
-                        if fresh:
-                            queue.append(pair)
+            if arc_a.ilabel != TERMINAL and arc_a.olabel == EPSILON:
+                out.add_arc(here, state((arc_a.dst, sb)), arc_a.ilabel, EPSILON, arc_a.weight)
+                continue
+            # A terminal arc pairs with b's terminal arcs, any other with the
+            # arcs of b that read its output.
+            terminal = arc_a.ilabel == TERMINAL
+            reads = TERMINAL if terminal else arc_a.olabel
+            for arc_b in b.arcs_from(sb):
+                if arc_b.ilabel == reads:
+                    olabel = EPSILON if terminal else arc_b.olabel
+                    weight = arc_a.weight + arc_b.weight
+                    out.add_arc(here, state((arc_a.dst, arc_b.dst)), arc_a.ilabel, olabel, weight)
 
-    final_pair = (a.final, b.final)
-    if final_pair not in state_of:
+    final = state_of.get((a.final, b.final))
+    if final is None:
         return Fst()
-    out.start = state_of[start_pair]
-    out.final = state_of[final_pair]
+    out.final = final
     return out
 
 
@@ -178,9 +144,7 @@ def fst_from_text(text: str) -> Fst:
     if any(src == final for src, *_ in arcs):
         raise ValueError(f"final state {final} has outgoing arcs")
     out = Fst()
-    num_states = max(max(src, dst) for src, dst, *_ in arcs) + 1
-    num_states = max(num_states, final + 1)
-    for _ in range(num_states):
+    for _ in range(max(final, *(max(src, dst) for src, dst, *_ in arcs)) + 1):
         out.add_state()
     for src, dst, ilabel, olabel, weight in arcs:
         out.add_arc(src, dst, ilabel, olabel, weight)
@@ -195,11 +159,10 @@ def build_linear_graph(labels: Sequence[int], vocab_size: int | None = None) -> 
     _validate_labels(labels, vocab_size)
     fst = Fst()
     chain = [fst.add_state() for _ in range(len(labels) + 1)]
-    final = fst.add_state()
-    fst.start, fst.final = chain[0], final
+    fst.start, fst.final = chain[0], fst.add_state()
     for i, tok in enumerate(labels):
         fst.add_arc(chain[i], chain[i + 1], tok, tok)
-    fst.add_arc(chain[-1], final, TERMINAL, EPSILON)
+    fst.add_arc(chain[-1], fst.final, TERMINAL, EPSILON)
     return fst
 
 
@@ -209,8 +172,7 @@ def build_training_graph(
     """Training graph for one utterance: topology composed with the label
     chain, trimmed. Identical adjacent labels force a mandatory blank in
     between."""
-    topo = build_topology(vocab_size, variant)
-    linear = build_linear_graph(labels, vocab_size)
+    topo, linear = build_topology(vocab_size, variant), build_linear_graph(labels, vocab_size)
     return connect(compose(topo, linear))
 
 
@@ -226,14 +188,13 @@ def ctc_loss_alpha(labels: Sequence[int], grid) -> float:
     for tok in labels:
         ext.extend((tok, 0))
     m = len(ext)
-    neg_inf = float("-inf")
-    alpha = np.full(m, neg_inf)
+    alpha = np.full(m, -np.inf)
     alpha[0] = grid[0, 0]
     if m > 1:
         alpha[1] = grid[0, ext[1]]
     for t in range(1, num_frames):
         prev = alpha
-        alpha = np.full(m, neg_inf)
+        alpha = np.full(m, -np.inf)
         for s in range(m):
             acc = prev[s]
             if s >= 1:
@@ -251,13 +212,7 @@ def ctc_loss_alpha(labels: Sequence[int], grid) -> float:
 
 def _soft_penalty(alignment: Sequence[int], penalty: float) -> float:
     # One penalty per non-blank self-loop traversal: run length minus one.
-    total = 0.0
-    prev = None
-    for k in alignment:
-        if k != 0 and k == prev:
-            total += penalty
-        prev = k
-    return total
+    return sum((penalty for prev, k in zip(alignment, alignment[1:]) if k != 0 and k == prev), 0.0)
 
 
 def brute_force_loss(
