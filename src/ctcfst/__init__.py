@@ -3,9 +3,6 @@
 Builds CTC topology and training graphs (standard, soft self-loop penalty,
 hard repeat bound), computes exact losses and gradients, analyzes
 blank-frame skipping, and runs small synthetic training experiments.
-
-The package namespace re-exports the product names. The test oracles are
-reached through their modules, ``ctcfst.reference`` and ``ctcfst.lattice``.
 """
 
 from .errors import (
@@ -65,6 +62,6 @@ from .toy import (
     token_means,
     train,
 )
-from . import lattice, reference  # bound as submodules, their names not re-exported
+from . import lattice, reference  # the test oracles: bound as submodules, names not re-exported
 
 __version__ = "0.1.0"

@@ -1,14 +1,16 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 domain errors (infeasible alignment, bad file
-contents, bad settings), 2 usage errors. Output files are written to a
-temporary path and renamed into place, so failures never leave partial files
-behind.
+contents, bad settings, a setting too large to allocate), 2 usage errors.
+Output files are written to temporary paths and renamed into place only once
+all are written, so failures never leave partial files behind.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import functools
 import json
 import math
@@ -49,37 +51,55 @@ _EXPERIMENT_FLAGS = (
 
 
 def _fmt(value: float) -> str:
-    return f"{value:.12g}"
+    return f"{value + 0.0:.12g}"  # + 0.0 turns a negative zero into 0
 
 
-def _write_text(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
+@contextlib.contextmanager
+def _naming(path: str):
+    """Name ``path``, the user's, in a failed file operation's error, not the
+    temporary file it is written through."""
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
-    except OSError as exc:  # name the user's path, not the temporary one
+        yield
+    except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from None
+
+
+def _write(texts: dict[str, str]) -> None:
+    """Write each text to its path: all to temporary files first, then, if no
+    path is a directory, all renamed into place, so that a failure leaves
+    none of them behind."""
+    written = []
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        for path, text in texts.items():
+            directory = os.path.dirname(os.path.abspath(path))
+            with _naming(path):
+                fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+            written.append((tmp, path))
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+        for _, path in written:
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        for tmp, path in written:
+            with _naming(path):
+                os.replace(tmp, path)
+    finally:
+        for tmp, _ in written:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
 
 
 def _write_files(out: str, files: dict[str, str]) -> None:
-    """Make the output directory, then write each file in it atomically."""
+    """Make the output directory, then write the files into it together."""
     os.makedirs(out, exist_ok=True)
-    for name, text in files.items():
-        _write_text(os.path.join(out, name), text)
+    _write({os.path.join(out, name): text for name, text in files.items()})
 
 
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        _write_text(out, text)
+        _write({out: text})
 
 
 def integer(raw: str) -> int:
@@ -453,8 +473,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)  # bound to its own subcommand's parser
-    except (CtcFstError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CtcFstError, ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -26,7 +26,8 @@ import numpy as np
 from .errors import InfeasibleAlignmentError, NoPathError
 from .fsa import parse_int
 from .topology import STANDARD, TopologyVariant, _chain, _validate_labels, collapse_ctc
-from .reference import ctc_loss_alpha  # noqa: F401  benchmarks/run.py reads it here
+# benchmarks/run.py reads ctc_loss_alpha here. After .topology: reference imports it.
+from .reference import ctc_loss_alpha  # noqa: F401
 
 
 @dataclass(frozen=True)

@@ -154,9 +154,9 @@ def build_chain(labels: Sequence[int], vocab_size: int, variant: TopologyVariant
     """Training graph for one utterance: blank state 0, then per label a run
     and a blank state, then a final state entered by ``TERMINAL`` arcs. A
     hard run is ``max_run`` states in a row, a standard or soft run one state
-    with a self-loop weighted ``-penalty`` (0 for standard). This is
-    :func:`ctcfst.reference.build_training_graph` numbered in chain order, which for
-    standard, soft and hard(k <= 2) is the composed graph's own numbering.
+    with a self-loop weighted ``-penalty`` (0 for standard). This is the
+    composed :func:`ctcfst.reference.build_training_graph` numbered in chain
+    order, which for standard, soft and hard(k <= 2) is its own numbering.
     Raises ``ValueError`` for more than ``MAX_GRAPH_ARCS`` arcs."""
     if vocab_size < 1:
         raise ValueError("vocab_size must be >= 1")
@@ -221,5 +221,5 @@ def enumerate_alignments(
     return out
 
 
-# benchmarks/run.py reads the reference graph here. Imported last: reference imports this module.
+# benchmarks/run.py reads build_training_graph here. Last: reference imports this module.
 from .reference import build_training_graph  # noqa: E402,F401

@@ -1,8 +1,10 @@
 import ast
+import errno
 import inspect
 import json
 import math
 import os
+import resource
 import sys
 
 import numpy as np
@@ -89,6 +91,13 @@ class TestLoss:
         huge = capsys.readouterr()
         assert main(flags) == 0
         assert huge == capsys.readouterr()
+
+    def test_zero_loss_prints_zero_not_negative_zero(self, tmp_path, capsys):
+        # Blank probability 1 at every frame: the total is 0.0, the loss -0.0.
+        path = tmp_path / "blank.txt"
+        path.write_text("3 3\n" + "0 -1000 -1000\n" * 3)
+        assert main(["loss", "--labels", "", "--grid", str(path)]) == 0
+        assert capsys.readouterr() == ("0\n", "")
 
 
 class TestUsageErrors:
@@ -471,14 +480,17 @@ class TestBadInputExitsOne:
         assert capsys.readouterr().out == fst_to_text(ctcfst.build_chain([1, 26], 26))
 
 
-class TestOutputPath:
-    """A write into a missing directory names the path given, not the
-    temporary file it is written through."""
+COMMANDS_WITH_OUT = pytest.mark.parametrize(
+    "argv", [["skip", "analyze", "--probs", "PROBS"], ["topo", "build", "--vocab", "2"]],
+    ids=["skip", "topo"],
+)
 
-    @pytest.mark.parametrize(
-        "argv", [["skip", "analyze", "--probs", "PROBS"], ["topo", "build", "--vocab", "2"]],
-        ids=["skip", "topo"],
-    )
+
+class TestOutputPath:
+    """A failed write names the path given, not the temporary file it is
+    written through, and leaves no file behind."""
+
+    @COMMANDS_WITH_OUT
     def test_missing_directory_names_the_out_path(self, tmp_path, capsys, argv):
         probs = tmp_path / "probs.txt"
         probs.write_text(format_matrix(np.full((4, 2), math.log(0.5))))
@@ -489,6 +501,20 @@ class TestOutputPath:
         assert err.count("\n") == 1 and "No such file or directory" in err
         assert err.rstrip().endswith(repr(str(out))) and ".tmp-" not in err
         assert not (tmp_path / "missing").exists()
+
+    @COMMANDS_WITH_OUT
+    def test_directory_out_path_names_the_out_path(self, tmp_path, capsys, argv):
+        probs = tmp_path / "probs.txt"
+        probs.write_text(format_matrix(np.full((4, 2), math.log(0.5))))
+        out = tmp_path / "taken"
+        out.mkdir()
+        argv = [str(probs) if arg == "PROBS" else arg for arg in argv]
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: [Errno {errno.EISDIR}] Is a directory: {str(out)!r}\n"
+        )
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["probs.txt", "taken"]
+        assert not list(out.iterdir())
 
 
 class TestExperimentCommands:
@@ -523,6 +549,41 @@ class TestExperimentCommands:
         assert main(argv) == 1
         assert capsys.readouterr().err == "error: training diverged at step 1\n"
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "command, last", [("train-toy", "model.txt"), ("compare", "losses.csv")]
+    )
+    def test_directory_in_place_of_the_last_file_leaves_no_file(
+        self, tmp_path, capsys, command, last
+    ):
+        (tmp_path / last).mkdir()
+        tiny = ["--steps", "1", "--train-utterances", "2", "--eval-utterances", "1"]
+        assert main([command, *tiny, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: [Errno {errno.EISDIR}] Is a directory: {str(tmp_path / last)!r}\n"
+        )
+        assert [path.name for path in tmp_path.iterdir()] == [last]
+        assert not list((tmp_path / last).iterdir())
+
+    def test_setting_too_large_to_allocate_exits_one(self, tmp_path, capsys):
+        # token_means asks numpy for a 1e8 x 1e8 matrix (71 PiB). The address
+        # space cap makes the request fail at once even where the kernel
+        # would grant it lazily.
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"feature_dim": 100_000_000}))
+        out = tmp_path / "out"
+        tiny = ["--steps", "1", "--train-utterances", "2", "--eval-utterances", "1"]
+        limits = resource.getrlimit(resource.RLIMIT_AS)
+        cap = min(x for x in (*limits, 2**40) if x != resource.RLIM_INFINITY)
+        resource.setrlimit(resource.RLIMIT_AS, (cap, limits[1]))
+        try:
+            argv = ["train-toy", *tiny, "--config", str(config_path), "--out", str(out)]
+            assert main(argv) == 1
+        finally:
+            resource.setrlimit(resource.RLIMIT_AS, limits)
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_compare_outputs(self, tmp_path):
         config_path = tmp_path / "config.json"
