@@ -17,16 +17,16 @@ from .fsa import (
     TERMINAL,
     Arc,
     Fst,
+    format_matrix,
     fst_to_text,
+    parse_matrix,
 )
 from .loss import (
     LossResult,
     ctc_loss,
-    format_matrix,
     grad_check,
     greedy_decode,
     log_softmax,
-    parse_matrix,
 )
 from .skip import (
     REFERENCE_CORPUS_GAMMA_MAX,

@@ -1,4 +1,4 @@
-"""Weighted finite-state machinery in the log semiring.
+"""Weighted finite-state machinery in the log semiring, and the text formats.
 
 Conventions used throughout the package:
 
@@ -16,9 +16,17 @@ from __future__ import annotations
 import re
 from typing import Iterator, NamedTuple
 
+import numpy as np
+
 EPSILON = 0
 BLANK = 0
 TERMINAL = -1
+_NUMBER = "%.12g"  # 12 significant digits
+
+
+def format_number(value: float) -> str:
+    """The one rule for writing a number: 12 significant digits, ``-0`` as ``0``."""
+    return _NUMBER % (value + 0.0)
 
 
 def parse_int(token: str, signed: bool = False) -> int:
@@ -94,13 +102,50 @@ class Fst:
 
 def fst_to_text(fst: Fst) -> str:
     """Serialize to the text format: one ``src dst ilabel olabel weight`` line
-    per arc, then a line with the final state id. Weights keep 12 significant
-    digits."""
+    per arc, then a line with the final state id. Weights are written by
+    :func:`format_number`."""
     if fst.is_empty:
         return ""
-    lines = [
-        f"{arc.src} {arc.dst} {arc.ilabel} {arc.olabel} {arc.weight:.12g}"
-        for arc in fst.arcs()
-    ]
-    lines.append(str(fst.final))
+    lines = [f"{s} {d} {i} {o} {format_number(w)}\n" for s, d, i, o, w in fst.arcs()]
+    return "".join(lines) + f"{fst.final}\n"
+
+
+def format_matrix(matrix) -> str:
+    """Matrix text format: a ``T C`` header line, then T rows of C numbers."""
+    matrix = np.asarray(matrix, dtype=float) + 0.0  # format_number's rule, vectorised
+    rows, cols = matrix.shape
+    row_format = " ".join([_NUMBER] * cols)
+    lines = [f"{rows} {cols}"] + [row_format % tuple(row) for row in matrix.tolist()]
     return "\n".join(lines) + "\n"
+
+
+def parse_matrix(text: str) -> np.ndarray:
+    """Parse the matrix text format produced by :func:`format_matrix`. A
+    matrix needs at least one row and one column."""
+    lines = [line for line in text.splitlines() if line.strip()]
+    if not lines:
+        raise ValueError("empty matrix file")
+    try:
+        rows, cols = map(parse_int, lines[0].split())
+    except ValueError:
+        raise ValueError(f"malformed matrix header: {lines[0]!r}") from None
+    if rows == 0 or cols == 0:
+        raise ValueError(f"matrix needs at least one row and one column, got {rows} x {cols}")
+    body = lines[1:]
+    if len(body) != rows:
+        raise ValueError(f"expected {rows} matrix rows, found {len(body)}")
+    try:
+        out = np.loadtxt(body, comments=None, ndmin=2)
+    except ValueError:
+        # Name the first short or long row; a value that is no number re-raises.
+        for i, values in enumerate(line.split() for line in body):
+            if len(values) != cols:
+                raise _bad_width(i, len(values), cols) from None
+        raise
+    if out.shape[1] != cols:
+        raise _bad_width(0, out.shape[1], cols)
+    return out
+
+
+def _bad_width(row: int, width: int, cols: int) -> ValueError:
+    return ValueError(f"row {row} has {width} values, expected {cols}")

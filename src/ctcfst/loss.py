@@ -24,7 +24,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InfeasibleAlignmentError, NoPathError
-from .fsa import parse_int
 from .topology import STANDARD, TopologyVariant, _chain, _validate_labels, collapse_ctc
 # benchmarks/run.py reads ctc_loss_alpha here. After .topology: reference imports it.
 from .reference import ctc_loss_alpha  # noqa: F401
@@ -353,44 +352,3 @@ def greedy_decode(grid) -> list[int]:
     """Per-frame argmax followed by CTC collapse."""
     grid = np.asarray(grid, dtype=float)
     return collapse_ctc(int(k) for k in grid.argmax(axis=1))
-
-
-def format_matrix(matrix) -> str:
-    """Matrix text format: a ``T C`` header line, then T rows of C values."""
-    matrix = np.asarray(matrix, dtype=float)
-    rows, cols = matrix.shape
-    row_format = " ".join(["%.12g"] * cols)
-    lines = [f"{rows} {cols}"] + [row_format % tuple(row) for row in matrix.tolist()]
-    return "\n".join(lines) + "\n"
-
-
-def parse_matrix(text: str) -> np.ndarray:
-    """Parse the matrix text format produced by :func:`format_matrix`. A
-    matrix needs at least one row and one column."""
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise ValueError("empty matrix file")
-    try:
-        rows, cols = map(parse_int, lines[0].split())
-    except ValueError:
-        raise ValueError(f"malformed matrix header: {lines[0]!r}") from None
-    if rows == 0 or cols == 0:
-        raise ValueError(f"matrix needs at least one row and one column, got {rows} x {cols}")
-    body = lines[1:]
-    if len(body) != rows:
-        raise ValueError(f"expected {rows} matrix rows, found {len(body)}")
-    try:
-        out = np.loadtxt(body, comments=None, ndmin=2)
-    except ValueError:
-        # Name the first short or long row; a value that is no number re-raises.
-        for i, values in enumerate(line.split() for line in body):
-            if len(values) != cols:
-                raise _bad_width(i, len(values), cols) from None
-        raise
-    if out.shape[1] != cols:
-        raise _bad_width(0, out.shape[1], cols)
-    return out
-
-
-def _bad_width(row: int, width: int, cols: int) -> ValueError:
-    return ValueError(f"row {row} has {width} values, expected {cols}")

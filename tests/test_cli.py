@@ -13,7 +13,7 @@ import pytest
 import ctcfst
 from ctcfst import STANDARD, cli, fst_to_text, hard, lattice, reference, soft, toy
 from ctcfst.cli import main
-from ctcfst.loss import format_matrix
+from ctcfst.fsa import format_matrix
 from ctcfst.reference import build_training_graph, fst_from_text
 
 
@@ -263,6 +263,15 @@ class TestTopo:
         assert main(["topo", "build", "--vocab", "3", "--labels", "A,B,B,C", *flags]) == 0
         want = fst_to_text(build_training_graph([1, 2, 2, 3], 3, variant))
         assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize("labels", [[], ["--labels", "1,2,2"]], ids=["topology", "chain"])
+    def test_soft_zero_prints_what_standard_prints(self, capsys, labels):
+        # Penalty 0 is plain CTC: its self-loop weight -0.0 is written 0.
+        assert main(["topo", "build", "--vocab", "3", *labels]) == 0
+        standard = capsys.readouterr()
+        soft_zero = ["--variant", "soft", "--lambda", "0"]
+        assert main(["topo", "build", "--vocab", "3", *soft_zero, *labels]) == 0
+        assert capsys.readouterr() == standard
 
     @pytest.mark.parametrize(
         "flags, err",

@@ -13,7 +13,7 @@ from ctcfst import (
     fst_to_text,
     hard,
 )
-from ctcfst.fsa import parse_float
+from ctcfst.fsa import format_number, parse_float
 from ctcfst.lattice import intersect_dense, iterate_paths, total_score
 from ctcfst.reference import build_linear_graph, compose, connect, fst_from_text
 
@@ -160,3 +160,20 @@ class TestTextFormat:
     def test_empty_fst_serializes_to_empty_text(self):
         assert fst_to_text(Fst()) == ""
         assert fst_from_text("").is_empty
+
+
+class TestNumberRule:
+    def test_twelve_significant_digits_and_no_negative_zero(self):
+        assert format_number(-0.0) == format_number(0.0) == format_number(0) == "0"
+        assert format_number(np.float64(-0.0)) == "0"
+        assert format_number(1 / 3) == "0.333333333333"
+        assert format_number(-2.5e-300) == "-2.5e-300"
+        assert [format_number(v) for v in (np.inf, -np.inf, np.nan)] == ["inf", "-inf", "nan"]
+
+    def test_fst_weights_follow_the_rule(self):
+        fst = Fst()
+        fst.add_state(), fst.add_state()
+        fst.start, fst.final = 0, 1
+        fst.add_arc(0, 0, 1, 0, -0.0)
+        fst.add_arc(0, 1, -1, 0, 1 / 3)
+        assert fst_to_text(fst) == "0 0 1 0 0\n0 1 -1 0 0.333333333333\n1\n"

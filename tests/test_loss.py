@@ -21,6 +21,7 @@ from ctcfst import (
     min_alignment_length,
     soft,
 )
+from ctcfst.fsa import format_number
 from ctcfst.loss import _log_add_arcs, batch_loss, pack
 from ctcfst.reference import brute_force_loss, ctc_loss_alpha
 from ctcfst.topology import _chain
@@ -236,9 +237,10 @@ class TestMatrixFormat:
         extremes = np.array([[0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308]])
         spread = rng.standard_normal((6, 5)) * 10.0 ** rng.integers(-300, 300, (6, 5))
         for matrix in (extremes, rng.standard_normal((40, 11)), spread):
-            rows = [" ".join(f"{v:.12g}" for v in row) for row in matrix]
+            rows = [" ".join(format_number(v) for v in row) for row in matrix]
             want = "\n".join([f"{matrix.shape[0]} {matrix.shape[1]}", *rows]) + "\n"
             assert format_matrix(matrix) == want
+        assert format_matrix(extremes).splitlines()[1].startswith("0 0 4.94065645841e-324 ")
 
     def test_header_mismatch_rejected(self):
         with pytest.raises(ValueError, match="rows"):
