@@ -49,6 +49,9 @@ _CONFIG_TYPES = {
 _EXPERIMENT_FLAGS = (
     "seed", "steps", "step_size", "warmup_fraction", "train_utterances", "eval_utterances"
 )
+# How far a `loss --grid` row's log-sum-exp may lie from 0. Rows written with
+# 6 significant digits lie within about 1e-6.
+LOG_PROB_TOLERANCE = 1e-4
 
 
 @contextlib.contextmanager
@@ -279,11 +282,29 @@ def cmd_topo(args, parser) -> int:
     return 0
 
 
+def _check_log_probs(grid) -> None:
+    """Refuse a grid row whose log-sum-exp lies more than ``LOG_PROB_TOLERANCE``
+    from 0: ``ctc_loss`` takes any finite scores, but its gradient holds only for
+    log-softmax rows. A row holding a non-finite value sums to NaN and passes,
+    for ``ctc_loss`` to name the value."""
+    top = grid.max(axis=1, keepdims=True)
+    with np.errstate(invalid="ignore"):
+        sums = np.log(np.exp(grid - top).sum(axis=1)) + top[:, 0]
+    off = np.abs(sums) > LOG_PROB_TOLERANCE
+    if off.any():
+        row = int(off.argmax())
+        raise ValueError(
+            f"grid row {row} is not log-probabilities: its log-sum-exp is "
+            f"{format_number(sums[row])}, not 0"
+        )
+
+
 def cmd_loss(args, parser) -> int:
     variant = _variant_from(args, parser)
     labels, _ = _parse_labels(args.labels)
     with open(args.grid) as handle:
         grid = parse_matrix(handle.read())
+    _check_log_probs(grid)
     result = ctc_loss(labels, grid, variant)
     print(format_number(result.loss))
     if args.grad:

@@ -29,6 +29,19 @@ def format_number(value: float) -> str:
     return _NUMBER % (value + 0.0)
 
 
+def first_bad(ok: np.ndarray, values: np.ndarray) -> str:
+    """The first entry, in row-major order, where ``ok`` is False, and the value
+    of ``values`` there: ``row r`` of a 1-D array, ``row r, column c`` of a
+    matrix, ``entry (i, j, ...)`` of any other."""
+    ok, values = np.atleast_1d(ok, values)
+    index = tuple(int(i) for i in np.unravel_index(np.argmin(ok), ok.shape))
+    if len(index) > 2:
+        where = f"entry {index}"
+    else:
+        where = ", ".join(f"{axis} {i}" for axis, i in zip(("row", "column"), index))
+    return f"{where} holds {format_number(values[index])}"
+
+
 def parse_int(token: str, signed: bool = False) -> int:
     """An integer written in ASCII digits, after a ``-`` only when ``signed``.
 

@@ -24,6 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InfeasibleAlignmentError, NoPathError
+from .fsa import first_bad
 from .topology import STANDARD, TopologyVariant, _chain, _validate_labels, collapse_ctc
 # benchmarks/run.py reads ctc_loss_alpha here. After .topology: reference imports it.
 from .reference import ctc_loss_alpha  # noqa: F401
@@ -279,8 +280,9 @@ def log_softmax(logits) -> np.ndarray:
     logits = np.asarray(logits, dtype=float)
     if logits.ndim == 0:
         raise ValueError("logits must have at least one axis, got a scalar")
-    if not np.isfinite(logits).all():
-        raise ValueError("logits must be finite")
+    finite = np.isfinite(logits)
+    if not finite.all():
+        raise ValueError(f"logits must be finite: {first_bad(finite, logits)}")
     shifted = logits - logits.max(axis=-1, keepdims=True)
     shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     return shifted
@@ -304,8 +306,11 @@ def ctc_loss(
     implementations that expect callers to filter such utterances.
     """
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 2 or grid.size == 0 or not np.isfinite(grid).all():
-        raise ValueError(f"grid must be a finite T x (V+1) matrix, not {grid.shape}")
+    if grid.ndim != 2 or grid.size == 0:
+        raise ValueError(f"grid must be a T x (V+1) matrix, not {grid.shape}")
+    finite = np.isfinite(grid)
+    if not finite.all():
+        raise ValueError(f"grid must be finite: {first_bad(finite, grid)}")
     num_frames, num_cols = grid.shape
     layout = pack([labels], variant, num_frames, num_cols).layout(np.ones((1, num_frames), bool))
     try:

@@ -13,6 +13,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .fsa import first_bad
+
 # Published reference value for the maximum possible reduction ratio on the
 # LibriSpeech test sets at a 25 Hz frame rate; documented for context only,
 # never recomputed here.
@@ -34,8 +36,9 @@ def classify_blank_frames(blank_probs, beta: float) -> np.ndarray:
     probs = np.asarray(blank_probs, dtype=float)
     if probs.size == 0:
         raise ValueError("blank_probs must be non-empty")
-    if not ((probs >= 0.0) & (probs <= 1.0)).all():  # NaN fails both tests
-        raise ValueError("blank probabilities must lie in [0, 1]")
+    valid = (probs >= 0.0) & (probs <= 1.0)  # NaN fails both tests
+    if not valid.all():
+        raise ValueError(f"blank probabilities must lie in [0, 1]: {first_bad(valid, probs)}")
     return probs > beta
 
 

@@ -51,6 +51,8 @@ class TopologyVariant:
             raise ValueError("soft penalty must be >= 0")
         if self.kind == "hard" and self.max_run < 1:
             raise ValueError("hard repeat bound must be >= 1")
+        # A penalty of -0 is 0, so that its name, weights and equality agree.
+        object.__setattr__(self, "penalty", self.penalty + 0.0)
 
     def __str__(self) -> str:
         if self.kind == "soft":

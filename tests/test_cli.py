@@ -100,6 +100,34 @@ class TestLoss:
         assert capsys.readouterr() == ("0\n", "")
 
 
+    def test_non_finite_grid_names_the_entry(self, tmp_path, capsys):
+        grid = np.full((2, 3), math.log(1 / 3))
+        grid[1, 2] = np.nan
+        path = tmp_path / "grid.txt"
+        path.write_text(format_matrix(grid))
+        assert main(["loss", "--labels", "1", "--grid", str(path)]) == 1
+        err = "error: grid must be finite: row 1, column 2 holds nan\n"
+        assert capsys.readouterr() == ("", err)
+
+    def test_row_that_is_not_log_probabilities_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "zeros.txt"
+        path.write_text("2 3\n" + "0 0 0\n" * 2)
+        assert main(["loss", "--labels", "1", "--grid", str(path), "--grad"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            "error: grid row 0 is not log-probabilities: its log-sum-exp is 1.09861228867, not 0\n"
+        )
+
+    def test_log_probabilities_at_six_digits_are_accepted(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        logits = rng.standard_normal((60, 21)) * 3
+        grid = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+        path = tmp_path / "grid.txt"
+        path.write_text("60 21\n" + "".join(" ".join(f"{v:g}" for v in row) + "\n" for row in grid))
+        assert main(["loss", "--labels", "1,2,3", "--grid", str(path), "--grad"]) == 0
+        assert capsys.readouterr().err == ""
+
+
 class TestUsageErrors:
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as info:
@@ -340,6 +368,13 @@ class TestGradCheckCommand:
         assert err.count("\n") == 1 and f"epsilon {float(epsilon):g}" in err
         assert "logits must be finite" not in err
 
+    def test_non_finite_logits_name_the_entry(self, tmp_path, capsys):
+        path = tmp_path / "logits.txt"
+        path.write_text("2 3\n0 1 2\n3 nan 5\n")
+        assert main(["grad-check", "--labels", "A", "--logits", str(path)]) == 1
+        err = "error: logits must be finite: row 1, column 1 holds nan\n"
+        assert capsys.readouterr() == ("", err)
+
 
 class TestSkipCommand:
     def test_sweep_csv(self, tmp_path, capsys):
@@ -378,6 +413,14 @@ class TestSkipCommand:
         assert main(["skip", "analyze", "--probs", str(path), "--beta", "0.9"]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "[0, 1]" in err
+
+    def test_blank_probability_above_one_names_the_row(self, tmp_path, capsys):
+        path = tmp_path / "probs.txt"
+        path.write_text("3 2\n-0.1 -2.3\n0.5 -0.5\n-0.05 -3\n")
+        assert main(["skip", "analyze", "--probs", str(path)]) == 1
+        assert capsys.readouterr() == (
+            "", "error: blank probabilities must lie in [0, 1]: row 1 holds 1.6487212707\n"
+        )
 
     def test_error_leaves_no_output_file(self, tmp_path):
         out = tmp_path / "out.csv"
@@ -738,7 +781,7 @@ class TestExperimentCommands:
     @pytest.mark.parametrize(
         "runs, name",
         [("standard,standard", "standard"), ("soft:5,hard:1,soft:5.0", "soft(5)"),
-         ("hard:2+skip:0.9,hard:2+skip:0.90", "hard(2)+skip(0.9)")],
+         ("hard:2+skip:0.9,hard:2+skip:0.90", "hard(2)+skip(0.9)"), ("soft:0,soft:-0", "soft(0)")],
     )
     def test_repeated_run_spec_exits_one_before_any_corpus(
         self, tmp_path, capsys, no_corpus, runs, name
@@ -814,6 +857,25 @@ class TestOneExperimentRunner:
         assert main([*argv, "--out", str(tmp_path / "many")]) == 0
         assert runs[1:] == [["standard", "soft(0.5)", "hard(1)"]] and seeds[2:] == [0, 1]
         assert not {"train", "evaluate", "compare_variants"} & set(vars(cli))
+
+
+class TestBenchmarkTracePoints:
+    def test_loss_calls_the_names_the_benchmark_wraps(self, monkeypatch, capsys, uniform3):
+        # benchmarks/run.py times loss.parse_matrix, loss.format_matrix and
+        # loss.ctc_loss by wrapping these names in ctcfst.cli, so cmd_loss must
+        # reach them through cli's globals.
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("parse_matrix", "format_matrix", "ctc_loss"):
+            monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+        assert main(["loss", "--labels", "A,B", "--grid", uniform3, "--grad"]) == 0
+        assert sorted(calls) == ["ctc_loss", "format_matrix", "parse_matrix"]
 
 
 # The engine-independent oracles, every public function of the two reference

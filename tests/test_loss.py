@@ -56,8 +56,12 @@ class TestLogSoftmax:
         assert np.exp(out).sum(axis=1) == pytest.approx(np.ones(20), abs=1e-12)
 
     def test_non_finite_rejected(self):
-        for bad in ([[np.nan, 0.0]], [np.inf, 0.0], np.full((2, 3, 4), -np.inf)):
-            with pytest.raises(ValueError, match=r"^logits must be finite$"):
+        for bad, where in (
+            ([[0.0, 1.0], [2.0, np.nan]], "row 1, column 1 holds nan"),
+            ([0.0, np.inf], "row 1 holds inf"),
+            (np.full((2, 3, 4), -np.inf), r"entry \(0, 0, 0\) holds -inf"),
+        ):
+            with pytest.raises(ValueError, match=rf"^logits must be finite: {where}$"):
                 log_softmax(bad)
 
     def test_scalar_rejected(self):
