@@ -23,8 +23,9 @@ from typing import Sequence, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .errors import CtcFstError
+# cmd_loss calls parse_matrix, format_matrix and ctc_loss by these global names,
+# where benchmarks/run.py wraps them for its loss.* spans.
 from .fsa import format_matrix, format_number, fst_to_text, parse_float, parse_int, parse_matrix
-# Called through these globals, where benchmarks/run.py wraps them for its loss.* spans.
 from .loss import ctc_loss, grad_check
 from .skip import SWEEP_BETAS, sweep_thresholds
 from .topology import (

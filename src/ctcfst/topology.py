@@ -51,7 +51,7 @@ class TopologyVariant:
             raise ValueError("soft penalty must be >= 0")
         if self.kind == "hard" and self.max_run < 1:
             raise ValueError("hard repeat bound must be >= 1")
-        # A penalty of -0 is 0, so that its name, weights and equality agree.
+        # A penalty of -0 is 0, so that soft(-0) has the name and weights of soft(0).
         object.__setattr__(self, "penalty", self.penalty + 0.0)
 
     def __str__(self) -> str:

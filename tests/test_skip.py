@@ -46,8 +46,10 @@ class TestClassifyBlankFrames:
             assert mask.shape == probs.shape
             rows = np.stack([classify_blank_frames(row, beta) for row in probs])
             assert np.array_equal(mask, rows)
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        with pytest.raises(ValueError, match=r"\[0, 1\]: row 1, column 0 holds 1.5$"):
             classify_blank_frames([[0.5, 0.2], [1.5, 0.1]], 0.9)
+        with pytest.raises(ValueError, match=r"\[0, 1\]: row 0 holds -0.5$"):
+            classify_blank_frames(-0.5, 0.9)
         with pytest.raises(ValueError, match="non-empty"):
             classify_blank_frames(np.empty((2, 0)), 0.9)
 
