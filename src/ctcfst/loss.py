@@ -73,16 +73,18 @@ class Layout:
     the sum over graphs of states times kept frames.
 
     Forward and backward run fused, over s steps: iteration i computes alpha
-    at step i and beta at step s-2-i in one log-add. Block i of the storage
-    holds [beta + emit at step s-1-i, states reversed | alpha at step i-1],
-    and both halves read the window around the block's centre through one
-    (J, 2N) slot table: column N-1-n holds state n's out-arcs as N-1 minus
-    their destination, column N+n its in-arcs as N plus their source. J is
-    the larger slot count, and padding rows come last. So iteration i reads
-    the contiguous columns [N - W_(s-1-i), N + W_i) and writes one run of
-    block i+1. Pure alpha and beta are copied out, cells in time-major order,
-    for the occupancy. A graph's total is read after its last kept frame,
-    where its beta is seeded with the final weights.
+    at step i and beta at step s-2-i in one log-add. The storage is one
+    (s+1, 2N) array whose row k holds [beta + emit at step s-1-k, states
+    reversed | alpha at step k-1], centred on column N. Both halves read a
+    row through one (J, 2N) slot table: column N-1-n holds state n's
+    out-arcs as N-1 minus their destination, column N+n its in-arcs as N
+    plus their source. J is the larger slot count, and padding rows come
+    last. So iteration i reads row i through the columns [N - W_(s-1-i),
+    N + W_i) and writes the same columns of row i+1. A row spans every
+    state, so a padded batch reserves columns that it never writes. Pure
+    alpha and beta are copied out, cells in time-major order, for the
+    occupancy. A graph's total is read after its last kept frame, where its
+    beta is seeded with the final weights.
 
     The buffers belong to the layout and each run overwrites all it reads,
     so one layout serves any number of runs in turn, but not two at once.
@@ -129,40 +131,35 @@ class Layout:
         self.cell += np.concatenate([sym[:n] for n in [0, *width.tolist()]])
         self.emit, self.alpha, self.beta = (np.empty(first[-1]) for _ in range(3))
 
-        # Block k is [beta + emit at step s-1-k | alpha at step k-1]; block
-        # 0's alpha, over every state, is the initial one. The lead puts
-        # block 0's window at 0.
-        back = np.append(width[::-1], 0)
-        ahead = np.concatenate(([nodes], width))
-        lead = nodes - back[0]
-        centre = lead + np.cumsum(back) + np.cumsum(ahead) - ahead
-        self.fused = np.empty(lead + back.sum() + ahead.sum())
-        self.fused[centre[0] : centre[0] + nodes] = -np.inf
-        self.fused[centre[0] + self.starts] = 0.0
+        # Row k is [beta + emit at step s-1-k | alpha at step k-1], centred
+        # on column N; row 0's alpha, over every state, is the initial one.
+        self.fused = np.empty((steps + 1, 2 * nodes))
+        self.fused[0, nodes:] = -np.inf
+        self.fused[0, nodes + self.starts] = 0.0
         # A graph's beta at its last kept frame is its final weights, and its
-        # total is read from alpha there.
+        # total is read from alpha there; both by flat index into the rows.
         state_kept = np.repeat(kept, states)
-        self.end = centre[state_kept] + state
+        self.end = state_kept * 2 * nodes + nodes + state
         ends = state_kept > 0
         self.last = first[state_kept[ends] - 1] + state[ends]
-        self.last_at = centre[steps - state_kept[ends]] - 1 - state[ends]
+        self.last_at = (steps - state_kept[ends]) * 2 * nodes + nodes - 1 - state[ends]
         self.last_fin = self.fin[ends]
         self.beta[self.last] = self.last_fin
 
-        # Iteration i's window, table columns and output, the output split
-        # into its backward and forward halves, and the cells of each half.
+        # Iteration i's table columns and output row, the output split into
+        # its backward and forward halves, and the cells of each half.
         self.sweep = []
         for i, ahead_w in enumerate(width.tolist()):
             back_w = int(width[steps - 1 - i]) if i < steps - 1 else 0
-            lo, mid, hi = centre[i + 1] - back_w, centre[i + 1], centre[i + 1] + ahead_w
             cols = slice(nodes - back_w, nodes + ahead_w)
+            out = self.fused[i + 1, cols]
             prior = first[steps - 2 - i] if back_w else 0  # the first cell of step s-2-i
             behind = slice(prior, prior + back_w)
             here = slice(first[i], first[i + 1])
             self.sweep.append((
-                self.fused[centre[i] - nodes :], index[:, cols], weight[:, cols], self.fused[lo:hi],
-                self.fused[lo:mid], self.beta[behind][::-1], self.emit[behind][::-1],
-                self.fused[mid:hi], self.alpha[here], self.emit[here],
+                self.fused[i], index[:, cols], weight[:, cols], out,
+                out[:back_w], self.beta[behind][::-1], self.emit[behind][::-1],
+                out[back_w:], self.alpha[here], self.emit[here],
             ))
 
     def run(self, grids) -> tuple[np.ndarray, np.ndarray]:
@@ -173,7 +170,8 @@ class Layout:
         if grids.shape != self.shape:
             raise ValueError(f"grids must be {self.shape}, not {grids.shape}")
         emit = np.take(grids, self.cell, out=self.emit, mode="clip")
-        self.fused[self.last_at] = self.last_fin + emit[self.last]
+        flat = self.fused.reshape(-1)
+        flat[self.last_at] = self.last_fin + emit[self.last]
         # The only NaN is a dead state's shifted slot, -inf - -inf, in
         # _log_add_arcs; its clamp absorbs it.
         with np.errstate(invalid="ignore"):
@@ -184,7 +182,7 @@ class Layout:
                 back += back_emit
                 ahead += ahead_emit
                 alpha[...] = ahead
-        total = np.logaddexp.reduceat(self.fused[self.end] + self.fin, self.starts)
+        total = np.logaddexp.reduceat(flat[self.end] + self.fin, self.starts)
         # Checked before occupancy is formed, where -inf - -inf would be NaN.
         if (total == -np.inf).any():
             raise NoPathError("a graph in the batch has no path through its kept frames")
