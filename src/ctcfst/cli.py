@@ -286,8 +286,9 @@ def cmd_topo(args, parser) -> int:
 def _check_log_probs(grid) -> None:
     """Refuse a grid row whose log-sum-exp lies more than ``LOG_PROB_TOLERANCE``
     from 0: ``ctc_loss`` takes any finite scores, but its gradient holds only for
-    log-softmax rows. A row holding a non-finite value sums to NaN and passes,
-    for ``ctc_loss`` to name the value."""
+    log-softmax rows, and ``skip analyze`` reads column 0 as a log blank
+    probability. A row holding a non-finite value sums to NaN and passes, for
+    ``ctc_loss`` or the blank probability check to name the value."""
     top = grid.max(axis=1, keepdims=True)
     with np.errstate(invalid="ignore"):
         sums = np.log(np.exp(grid - top).sum(axis=1)) + top[:, 0]
@@ -349,6 +350,8 @@ def cmd_skip(args, parser) -> int:
     else:
         betas = list(SWEEP_BETAS)
     rows = sweep_thresholds(blank_probs, args.tokens, betas)
+    # After the sweep, whose range check names a bad blank probability itself.
+    _check_log_probs(grid)
     _emit(_csv("beta,ratio,gamma_max", rows), args.out)
     return 0
 

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InfeasibleAlignmentError, NoPathError
-from .fsa import first_bad
+from .fsa import first_bad, format_number
 from .topology import STANDARD, TopologyVariant, _chain, _validate_labels, collapse_ctc
 # benchmarks/run.py reads ctc_loss_alpha here. After .topology: reference imports it.
 from .reference import ctc_loss_alpha  # noqa: F401
@@ -330,12 +330,12 @@ def grad_check(
     frame t runs that layout on its C up- and C down-bumped logit grids.
     """
     if not 0 < epsilon < np.inf:
-        raise ValueError(f"epsilon must be a finite positive number, got {epsilon:g}")
+        raise ValueError(f"epsilon must be a finite positive number, got {format_number(epsilon)}")
     logits = np.asarray(logits, dtype=float)
     analytic = ctc_loss(labels, log_softmax(logits), variant).grad_logits
     with np.errstate(over="ignore"):
         if not np.isfinite(logits + epsilon - 2 * epsilon).all():
-            raise ValueError(f"epsilon {epsilon:g} bumps a logit past the float range")
+            raise ValueError(f"epsilon {format_number(epsilon)} bumps a logit past the float range")
     frames, classes = logits.shape
     batch = pack([labels] * 2 * classes, variant, frames, classes)
     layout = batch.layout(np.ones((2 * classes, frames), dtype=bool))

@@ -13,7 +13,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .fsa import first_bad
+from .fsa import first_bad, format_number
 
 # Published reference value for the maximum possible reduction ratio on the
 # LibriSpeech test sets at a 25 Hz frame rate; documented for context only,
@@ -26,7 +26,7 @@ SWEEP_BETAS = (0.8, 0.85, 0.9, 0.95, 0.99, 0.999)
 def _check_threshold(value: float, name: str = "threshold") -> None:
     """The one (0, 1) test of a threshold, ``skip_beta`` and ``betas`` alike."""
     if not 0.0 < value < 1.0:  # NaN fails too
-        raise ValueError(f"{name} must lie in (0, 1), got {value:g}")
+        raise ValueError(f"{name} must lie in (0, 1), got {format_number(value)}")
 
 
 def classify_blank_frames(blank_probs, beta: float) -> np.ndarray:

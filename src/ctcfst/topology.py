@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .fsa import BLANK, EPSILON, TERMINAL, Fst
+from .fsa import BLANK, EPSILON, TERMINAL, Fst, format_number
 
 MAX_ENUM_FRAMES = 12
 MAX_ENUM_SYMBOLS = 4
@@ -56,7 +56,7 @@ class TopologyVariant:
 
     def __str__(self) -> str:
         if self.kind == "soft":
-            return f"soft({self.penalty:g})"
+            return f"soft({format_number(self.penalty)})"
         if self.kind == "hard":
             return f"hard({self.max_run})"
         return "standard"

@@ -29,6 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InfeasibleAlignmentError, NoPathError, TrainingDivergedError
+from .fsa import format_number
 from .loss import batch_loss, greedy_decode, log_softmax, pack
 from .skip import SWEEP_BETAS, SweepPoint, _check_threshold, classify_blank_frames, sweep_thresholds
 from .topology import STANDARD, TopologyVariant
@@ -59,7 +60,9 @@ class CorpusConfig:
         if self.stretch < 2:
             raise ValueError("stretch must be >= 2")
         if not 0 <= self.noise <= MAX_NOISE:  # NaN fails too
-            raise ValueError(f"noise must lie in [0, {MAX_NOISE:g}], got {self.noise:g}")
+            raise ValueError(
+                f"noise must lie in [0, {format_number(MAX_NOISE)}], got {format_number(self.noise)}"
+            )
         if self.num_utterances < 1:
             raise ValueError("num_utterances must be >= 1")
         if not 1 <= self.min_tokens <= self.max_tokens:
@@ -90,9 +93,13 @@ class ExperimentConfig:
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if not 0 <= self.step_size < np.inf:  # NaN fails too
-            raise ValueError(f"step_size must be finite and >= 0, got {self.step_size:g}")
+            raise ValueError(
+                f"step_size must be finite and >= 0, got {format_number(self.step_size)}"
+            )
         if not 0 <= self.warmup_fraction <= 1:
-            raise ValueError(f"warmup_fraction must lie in [0, 1], got {self.warmup_fraction:g}")
+            raise ValueError(
+                f"warmup_fraction must lie in [0, 1], got {format_number(self.warmup_fraction)}"
+            )
         if self.skip_beta is not None:
             _check_threshold(self.skip_beta, "skip_beta")
         if not self.betas:
@@ -316,7 +323,7 @@ class RunSpec:
     def name(self) -> str:
         if self.skip_beta is None:
             return str(self.variant)
-        return f"{self.variant}+skip({self.skip_beta:g})"
+        return f"{self.variant}+skip({format_number(self.skip_beta)})"
 
 
 DEFAULT_RUNS = (

@@ -422,6 +422,22 @@ class TestSkipCommand:
             "", "error: blank probabilities must lie in [0, 1]: row 1 holds 1.6487212707\n"
         )
 
+    def test_row_that_is_not_log_probabilities_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "probs.txt"
+        path.write_text("3 2\n-2 -0.5\n-0.01 1.5\n-3 -0.2\n")
+        assert main(["skip", "analyze", "--probs", str(path), "--beta", "0.9"]) == 1
+        assert capsys.readouterr() == ("", (
+            "error: grid row 0 is not log-probabilities: its log-sum-exp is "
+            "-0.298586722017, not 0\n"
+        ))
+
+    def test_log_probabilities_to_six_digits_pass(self, tmp_path, capsys):
+        grid = np.log([[0.95, 0.03, 0.02], [0.2, 0.5, 0.3], [0.991, 0.004, 0.005]])
+        path = tmp_path / "probs.txt"
+        path.write_text("3 3\n" + "".join(" ".join(f"{v:.6g}" for v in row) + "\n" for row in grid))
+        assert main(["skip", "analyze", "--probs", str(path), "--beta", "0.9"]) == 0
+        assert capsys.readouterr().out == "beta,ratio,gamma_max\n0.9,0.666666666667,1\n"
+
     def test_error_leaves_no_output_file(self, tmp_path):
         out = tmp_path / "out.csv"
         code = main(
@@ -714,7 +730,7 @@ class TestExperimentCommands:
             ("train-toy", {"steps": None}, "'steps'"),
             ("train-toy", {"steps": True}, "'steps'"),
             ("train-toy", {"noise": "0.2"}, "'noise'"),
-            ("train-toy", {"noise": 1e308}, "noise must lie in [0, 1e+06], got 1e+308"),
+            ("train-toy", {"noise": 1e308}, "noise must lie in [0, 1000000], got 1e+308"),
             ("train-toy", {"betas": [0.5, 1.0]}, "betas must lie in (0, 1)"),
             ("train-toy", {"betas": []}, "betas must not be empty"),
             ("train-toy", {"train_utterances": 0}, "train_utterances must be >= 1"),
@@ -829,6 +845,27 @@ class TestExperimentCommands:
         assert code == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "skip_beta must lie in (0, 1)" in err
+
+    @pytest.mark.parametrize(
+        "runs, names",
+        [("soft:0.1234567,soft:0.1234568", ["soft(0.1234567)", "soft(0.1234568)"]),
+         ("standard+skip:0.8500001,standard", ["standard+skip(0.8500001)", "standard"])],
+    )
+    def test_run_names_write_settings_by_the_number_rule(self, tmp_path, runs, names):
+        out = tmp_path / "cmp"
+        argv = ["compare", "--runs", runs, "--steps", "2", "--train-utterances", "3",
+                "--eval-utterances", "2", "--out", str(out)]
+        assert main(argv) == 0
+        rows = (out / "compare.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == names
+
+    def test_skip_beta_message_writes_the_value_by_the_number_rule(
+        self, tmp_path, capsys, no_corpus
+    ):
+        assert self._train_toy(tmp_path, {}, "--skip-beta", "1.0000001") == 1
+        assert capsys.readouterr().err == (
+            "error: skip_beta must lie in (0, 1), got 1.0000001\n"
+        )
 
 
 class TestOneExperimentRunner:

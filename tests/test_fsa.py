@@ -1,4 +1,7 @@
+import ast
 import itertools
+import os
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +16,8 @@ from ctcfst import (
     fst_to_text,
     hard,
 )
+import ctcfst
+from ctcfst import fsa
 from ctcfst.fsa import format_number, parse_float
 from ctcfst.lattice import intersect_dense, iterate_paths, total_score
 from ctcfst.reference import build_linear_graph, compose, connect, fst_from_text
@@ -177,3 +182,26 @@ class TestNumberRule:
         fst.add_arc(0, 0, 1, 0, -0.0)
         fst.add_arc(0, 1, -1, 0, 1 / 3)
         assert fst_to_text(fst) == "0 0 1 0 0\n0 1 -1 0 0.333333333333\n1\n"
+
+    def test_no_float_format_spec_but_the_rule(self):
+        """Every number the package writes goes through ``format_number``: no
+        module formats a float by its own spec, ``%.3f`` or ``{x:g}`` alike."""
+        printf = re.compile(r"%[#0+-]*[0-9]*(?:\.[0-9]+)?[eEfFgG]")
+        found = []
+        package = os.path.dirname(ctcfst.__file__)
+        for name in sorted(os.listdir(package)):
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(package, name)) as handle:
+                tree = ast.parse(handle.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FormattedValue) and node.format_spec is not None:
+                    spec = "".join(
+                        part.value for part in node.format_spec.values
+                        if isinstance(part, ast.Constant)
+                    )
+                    if spec[-1:] and spec[-1] in "eEfFgG%":
+                        found.append((name, node.lineno, ":" + spec))
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    found += [(name, node.lineno, m) for m in printf.findall(node.value)]
+        assert [(name, spec) for name, _, spec in found] == [("fsa.py", fsa._NUMBER)], found
