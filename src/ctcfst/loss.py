@@ -37,20 +37,18 @@ class GraphBatch:
     All arcs entering a state carry one input symbol, so a state scores its
     symbol's grid entry at each frame: the state-emitting recursion of Graves
     et al. 2006 (section 4.1), generalised from the 2U+1 chain to soft and
-    hard runs. The graphs' N states lie end to end in batch order, and the
-    arcs are stored arc-major: one (N,) slot per arc index, holding the
-    offset of the arc's other end from the state, so the offsets hold however
-    a layout reorders whole graphs. A padded slot is offset 0 with weight
-    -inf. The engine has two stages: :meth:`layout` does all the work that
+    hard runs. The graphs' N states lie end to end in batch order. One
+    arc-major (J, 2N) slot table holds each arc twice, as source minus
+    destination: column n holds state n's out-arcs, column N + n its in-arcs,
+    an offset that holds however a layout reorders whole graphs; padding is
+    0, -inf. The engine has two stages: :meth:`layout` does all the work that
     depends only on a keep mask, and :meth:`Layout.run` the recursion over
     the grids, so a caller whose mask holds builds one layout for many runs.
     """
 
     sym: np.ndarray  # (N,) input symbol of every arc entering the state
-    in_src: np.ndarray  # (J, N) source offset of the j-th arc entering the state
-    in_w: np.ndarray  # (J, N) its weight
-    out_dst: np.ndarray  # (K, N) destination offset of the k-th arc leaving it
-    out_w: np.ndarray  # (K, N) its weight
+    offset: np.ndarray  # (J, 2N) src - dst of state n's out-arcs at n, in-arcs at N + n
+    weight: np.ndarray  # (J, 2N) their weights
     fin: np.ndarray  # (N,) final weight of the state, -inf if it is not final
     states: np.ndarray  # (B,) state count of each graph
     classes: int  # C, the symbol count of the grids
@@ -76,15 +74,14 @@ class Layout:
     at step i and beta at step s-2-i in one log-add. The storage is one
     (s+1, 2N) array whose row k holds [beta + emit at step s-1-k, states
     reversed | alpha at step k-1], centred on column N. Both halves read a
-    row through one (J, 2N) slot table: column N-1-n holds state n's
-    out-arcs as N-1 minus their destination, column N+n its in-arcs as N
-    plus their source. J is the larger slot count, and padding rows come
-    last. So iteration i reads row i through the columns [N - W_(s-1-i),
-    N + W_i) and writes the same columns of row i+1. A row spans every
-    state, so a padded batch reserves columns that it never writes. Pure
-    alpha and beta are copied out, cells in time-major order, for the
-    occupancy. A graph's total is read after its last kept frame, where its
-    beta is seeded with the final weights.
+    row through the batch's slot table, each offset added to its column:
+    column N-1-n holds state n's out-arcs as N-1 minus their destination,
+    column N+n its in-arcs as N plus their source. So iteration i reads row
+    i through the columns [N - W_(s-1-i), N + W_i) and writes the same
+    columns of row i+1. A row spans every state, so a padded batch reserves
+    columns that it never writes. Pure alpha and beta are copied out, cells
+    in time-major order, for the occupancy. A graph's total is read after
+    its last kept frame, where its beta is seeded with the final weights.
 
     The buffers belong to the layout and each run overwrites all it reads,
     so one layout serves any number of runs in turn, but not two at once.
@@ -109,13 +106,11 @@ class Layout:
         state = np.arange(nodes)
         node = state + np.repeat(packed[order] - self.starts, states)
         sym, self.fin = batch.sym[node], batch.fin[node]
-        # The slot table. A padding slot reads its own state through -inf.
-        index = np.tile(np.arange(2 * nodes), (max(len(batch.in_src), len(batch.out_dst)), 1))
-        weight = np.full(index.shape, -np.inf)
-        index[: len(batch.in_src), nodes:] += batch.in_src[:, node]
-        weight[: len(batch.in_w), nodes:] = batch.in_w[:, node]
-        index[: len(batch.out_dst), :nodes] -= batch.out_dst[:, node[::-1]]
-        weight[: len(batch.out_w), :nodes] = batch.out_w[:, node[::-1]]
+        # The slot table: pack's columns in the layout's order, each offset
+        # added to its own column. ``take`` keeps the tables C-ordered.
+        column = np.concatenate([node[::-1], nodes + node])
+        index = np.arange(2 * nodes) + batch.offset.take(column, axis=1)
+        weight = batch.weight.take(column, axis=1)
 
         steps = int(kept[0])
         live = np.arange(steps)[:, None] < kept  # (steps, B)
@@ -215,17 +210,17 @@ def _log_add_arcs(src, index, weight, out) -> None:
     out += top
 
 
-def _slots(head, tail, weight, nodes) -> tuple[np.ndarray, np.ndarray]:
-    """Arc-major (J, nodes) offsets ``tail - head`` and weights of the arcs,
-    slotted by head state in their given order; padding is offset 0, -inf."""
-    order = np.argsort(head, kind="stable")
-    head, tail, weight = head[order], tail[order], weight[order]
-    slot = np.arange(len(head)) - np.searchsorted(head, head)  # rank within the head's arcs
-    offset = np.zeros((slot.max() + 1, nodes), dtype=np.intp)
-    weights = np.full(offset.shape, -np.inf)
-    offset[slot, head] = tail - head
-    weights[slot, head] = weight
-    return offset, weights
+def _slots(column, offset, weight, width) -> tuple[np.ndarray, np.ndarray]:
+    """Arc-major (J, width) tables of the arcs' offsets and weights, each arc
+    slotted in its column in the given order; padding is offset 0, -inf."""
+    order = np.argsort(column, kind="stable")
+    column = column[order]
+    slot = np.arange(len(column)) - np.searchsorted(column, column)  # rank within the column
+    offsets = np.zeros((slot.max() + 1, width), dtype=np.intp)
+    weights = np.full(offsets.shape, -np.inf)
+    offsets[slot, column] = offset[order]
+    weights[slot, column] = weight[order]
+    return offsets, weights
 
 
 def pack(
@@ -234,9 +229,10 @@ def pack(
     """Pack the CTC chains of ``label_seqs`` for (num_frames, num_classes) grids.
 
     The chains are :func:`ctcfst.topology._chain`'s for ``num_frames``
-    frames; the tests hold them to :func:`ctcfst.reference.build_training_graph`. A state's
-    in-arcs take slots by increasing source, its out-arcs by increasing
-    destination. Raises ``ValueError`` for a label outside 1..``num_classes - 1``.
+    frames; the tests hold them to :func:`ctcfst.reference.build_training_graph`.
+    One :func:`_slots` call over the arcs listed twice writes the slot table:
+    out-arcs by increasing destination, in-arcs by increasing source. Raises
+    ``ValueError`` for a label outside 1..``num_classes - 1``.
     """
     for labels in label_seqs:
         _validate_labels(labels, num_classes - 1)
@@ -248,13 +244,13 @@ def pack(
     src, dst, weight = np.array(list(itertools.chain.from_iterable(arcs))).T
     shift = np.repeat(base, [len(a) for a in arcs])
     src, dst = src.astype(np.intp) + shift, dst.astype(np.intp) + shift
-    in_src, in_w = _slots(dst, src, weight, nodes)
-    out_dst, out_w = _slots(src, dst, weight, nodes)
+    column = np.concatenate([src, nodes + dst])  # leaving src, entering dst
+    offset, weight = _slots(column, np.tile(src - dst, 2), np.tile(weight, 2), 2 * nodes)
     sym = np.fromiter(itertools.chain.from_iterable(syms), np.intp, nodes)
     fin = np.full(nodes, -np.inf)
     final = np.fromiter(itertools.chain.from_iterable(finals), np.intp)
     fin[final + np.repeat(base, [len(f) for f in finals])] = 0.0
-    return GraphBatch(sym, in_src, in_w, out_dst, out_w, fin, states, num_classes)
+    return GraphBatch(sym, offset, weight, fin, states, num_classes)
 
 
 @dataclass

@@ -413,7 +413,7 @@ class TestLogAddArcs:
 
     def test_empty_label_sequences_pack_one_slot(self):
         batch = pack([[], []], STANDARD, 3, 3)
-        assert batch.in_src.shape[0] == batch.out_dst.shape[0] == 1
+        assert len(batch.offset) == 1
         grids = np.log(np.full((2, 3, 3), 1 / 3))
         total, occupancy = batch.layout(np.ones((2, 3), bool)).run(grids)
         assert total == pytest.approx(3 * math.log(1 / 3), abs=1e-12)
@@ -422,41 +422,100 @@ class TestLogAddArcs:
 
 class TestPackedFormat:
     """Which arc ``pack`` puts in which slot: the slot order sets the last
-    bits of every sum ``_log_add_arcs`` makes, so it is pinned here."""
+    bits of every sum ``_log_add_arcs`` makes, so it is pinned here. Column n
+    of the (J, 2N) table holds state n's out-arcs and column N + n its
+    in-arcs, each as source minus destination."""
 
     LABELS = [[1, 2, 2], [], [3], [2, 2, 2, 1], [1, 3, 1, 3]]
-
+    FRAMES = 9
     # hard(9) at 9 frames packs the standard chain.
-    @pytest.mark.parametrize(
+    VARIANTS = pytest.mark.parametrize(
         "variant", [STANDARD, soft(0.5), hard(1), hard(2), hard(3), hard(9)], ids=str
     )
+
+    @VARIANTS
     def test_slots_follow_the_chain_arcs_in_order(self, variant):
-        frames = 9
-        batch = pack(self.LABELS, variant, frames, 4)
+        batch = pack(self.LABELS, variant, self.FRAMES, 4)
+        nodes = len(batch.sym)
+        assert batch.offset.shape == batch.weight.shape == (len(batch.offset), 2 * nodes)
+        assert batch.offset.dtype == np.intp
         base = 0
         for labels in self.LABELS:
-            arcs, syms, finals = _chain(labels, variant, frames)
+            arcs, syms, finals = _chain(labels, variant, self.FRAMES)
             size = len(syms)
             for state in range(size):
                 n = base + state
+                # _chain's arcs, out-arcs by increasing destination and in-arcs
+                # by increasing source; the sign says which end is the state.
+                outs = [(src - dst, w) for src, dst, w in arcs if src == state]
                 ins = [(src - dst, w) for src, dst, w in arcs if dst == state]
-                outs = [(dst - src, w) for src, dst, w in arcs if src == state]
-                for offsets, weights, want in (
-                    (batch.in_src, batch.in_w, ins), (batch.out_dst, batch.out_w, outs)
-                ):
+                for column, want, sign in ((n, outs, -1), (nodes + n, ins, 1)):
+                    offsets, weights = batch.offset[:, column], batch.weight[:, column]
                     real = slice(len(want))
-                    got = list(zip(offsets[real, n].tolist(), weights[real, n].tolist()))
-                    assert got == want  # _chain's arcs, by increasing source or destination
-                    assert (offsets[len(want) :, n] == 0).all()
-                    assert (weights[len(want) :, n] == -np.inf).all()
-                    assert ((0 <= state + offsets[:, n]) & (state + offsets[:, n] < size)).all()
+                    assert list(zip(offsets[real].tolist(), weights[real].tolist())) == want
+                    assert (offsets[len(want) :] == 0).all()
+                    assert (weights[len(want) :] == -np.inf).all()
+                    other = state + sign * offsets  # the arc's other end
+                    assert ((0 <= other) & (other < size)).all()
             assert batch.sym[base : base + size].tolist() == syms
             fin = np.full(size, -np.inf)
             fin[finals] = 0.0
             assert np.array_equal(batch.fin[base : base + size], fin)
             base += size
-        assert batch.states.tolist() == [len(_chain(x, variant, frames)[1]) for x in self.LABELS]
+        assert batch.states.tolist() == [
+            len(_chain(x, variant, self.FRAMES)[1]) for x in self.LABELS
+        ]
         assert batch.sym.shape == batch.fin.shape == (base,)
+
+    @VARIANTS
+    def test_each_arc_once_in_each_half_with_one_weight(self, variant):
+        batch = pack(self.LABELS, variant, self.FRAMES, 4)
+        nodes = len(batch.sym)
+        arcs, base = [], 0
+        for labels in self.LABELS:
+            chain_arcs, syms, _ = _chain(labels, variant, self.FRAMES)
+            arcs += [(base + src, base + dst, w) for src, dst, w in chain_arcs]
+            base += len(syms)
+        slot, column = np.nonzero(batch.weight > -np.inf)
+        offset, weight = batch.offset[slot, column], batch.weight[slot, column]
+        out = column < nodes
+        leaving, entering = column[out], column[~out] - nodes
+        halves = (
+            zip(leaving, leaving - offset[out], weight[out]),
+            zip(entering + offset[~out], entering, weight[~out]),
+        )
+        for half in halves:
+            assert sorted((int(src), int(dst), float(w)) for src, dst, w in half) == sorted(arcs)
+
+
+class TestLayoutSlotTable:
+    """The (J, 2N) table a layout's sweep reads, written out in full: column
+    N-1-n holds laid-out state n's out-arcs as N-1 minus their destination,
+    column N+n its in-arcs as N plus their source, padding reads its own
+    column through -inf. The keep mask puts the second graph first."""
+
+    INDEX = [
+        [0, 1, 2, 3, 4, 5, 6, 7, 8, 8, 9, 9, 11, 13, 13, 14],
+        [0, 0, 1, 3, 3, 4, 5, 6, 8, 9, 10, 10, 12, 13, 14, 15],
+        [0, 1, 2, 3, 4, 5, 4, 7, 8, 9, 10, 11, 12, 13, 14, 15],
+    ]
+    INF = -np.inf
+    WEIGHT = [
+        [0, -0.5, 0, 0, -0.5, 0, -0.5, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [INF, 0, 0, INF, 0, 0, 0, 0, INF, -0.5, 0, 0, 0, INF, -0.5, 0],
+        [INF, INF, INF, INF, INF, INF, 0, INF, INF, INF, INF, -0.5, INF, INF, INF, INF],
+    ]
+
+    def test_a_reordered_batch_reads_this_table(self):
+        batch = pack([[1], [2, 1]], soft(0.5), 4, 3)
+        layout = batch.layout(np.array([[1, 0, 1, 0], [1, 1, 1, 1]], bool))
+        # Every iteration's index and weight are column slices of the one table.
+        index, weight = layout.sweep[0][1].base, layout.sweep[0][2].base
+        assert all(step[1].base is index and step[2].base is weight for step in layout.sweep)
+        assert index.dtype == np.intp and index.tolist() == self.INDEX
+        assert np.array_equal(weight, self.WEIGHT)
+        # An F-ordered table gives the same sums through strided reads.
+        assert index.flags.c_contiguous and weight.flags.c_contiguous
 
 
 class TestOneLossHome:

@@ -436,7 +436,7 @@ class TestRaggedCost:
         states = np.array([1 + (run + 1) * len(labels) for labels in labels_list])
         kept = keep.sum(axis=1)
         # One table serves both directions, so it has the larger slot count.
-        slots = max(len(engine.in_src), len(engine.out_dst))
+        slots = len(engine.offset)
         # Forward runs every kept frame; backward every one but the first,
         # whose beta no occupancy reads.
         assert len(cells) == int(kept.max())
