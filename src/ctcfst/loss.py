@@ -332,6 +332,9 @@ def grad_check(
     with np.errstate(over="ignore"):
         if not np.isfinite(logits + epsilon - 2 * epsilon).all():
             raise ValueError(f"epsilon {format_number(epsilon)} bumps a logit past the float range")
+    moved = logits + epsilon != logits
+    if not moved.all():  # its numeric gradient would read 0
+        raise ValueError(f"epsilon {format_number(epsilon)} leaves a logit unmoved: {first_bad(moved, logits)}")
     frames, classes = logits.shape
     batch = pack([labels] * 2 * classes, variant, frames, classes)
     layout = batch.layout(np.ones((2 * classes, frames), dtype=bool))

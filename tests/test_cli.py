@@ -13,7 +13,7 @@ import pytest
 import ctcfst
 from ctcfst import STANDARD, cli, fst_to_text, hard, lattice, reference, soft, toy
 from ctcfst.cli import main
-from ctcfst.fsa import format_matrix
+from ctcfst.fsa import format_matrix, format_number
 from ctcfst.reference import build_training_graph, fst_from_text
 
 
@@ -367,6 +367,26 @@ class TestGradCheckCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"epsilon {float(epsilon):g}" in err
         assert "logits must be finite" not in err
+
+    @pytest.mark.parametrize(
+        "epsilon, logits, where",
+        [
+            ("1e-320", None, "row 0, column 0 holds -1.09861228867"),
+            ("1e-5", "2 3\n0 1 2\n3 4 1e12\n", "row 1, column 2 holds 1e+12"),
+        ],
+    )
+    def test_epsilon_that_leaves_a_logit_unmoved_exits_one(
+        self, tmp_path, capsys, uniform3, epsilon, logits, where
+    ):
+        # The bumped logit rounds back to itself, so its numeric gradient is 0.
+        path = uniform3
+        if logits is not None:
+            path = tmp_path / "logits.txt"
+            path.write_text(logits)
+        argv = ["grad-check", "--labels", "A", "--logits", str(path), "--epsilon", epsilon]
+        assert main(argv) == 1
+        err = f"error: epsilon {format_number(float(epsilon))} leaves a logit unmoved: {where}\n"
+        assert capsys.readouterr() == ("", err)
 
     def test_non_finite_logits_name_the_entry(self, tmp_path, capsys):
         path = tmp_path / "logits.txt"
