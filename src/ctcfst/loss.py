@@ -92,9 +92,9 @@ class Layout:
         if self.keep.ndim != 2 or len(self.keep) != len(batch.states):
             raise ValueError(f"keep must be a ({len(batch.states)}, T) mask, not {self.keep.shape}")
         self.keep.flags.writeable = False
-        frames = self.keep.shape[1]
-        self.shape = (len(batch.states), frames, batch.classes)
+        self.shape = (*self.keep.shape, batch.classes)
         kept = self.keep.sum(axis=1)
+        row_start = np.cumsum(kept) - kept  # each row's first entry in flatnonzero(keep)
         order = np.argsort(-kept, kind="stable")
         self.unorder = np.argsort(order)
         kept, states = kept[order], batch.states[order]
@@ -118,10 +118,10 @@ class Layout:
         self.count, width = states[self.graph_of], live @ states
         first = np.concatenate(([0], np.cumsum(width)))  # each step's first cell
         # Each cell's flat index into the (B, T, C) grids: its graph's kept
-        # frame at its step, then its state's symbol. The leading 0 keeps
-        # the list non-empty when no graph keeps a frame.
-        rows = order[self.graph_of]
-        frame = rows * frames + np.argsort(~self.keep, axis=1, kind="stable")[rows, step_of]
+        # frame at its step, read from the kept frames' flat indices listed
+        # row by row, then its state's symbol. The leading 0 keeps the list
+        # non-empty when no graph keeps a frame.
+        frame = np.flatnonzero(self.keep)[row_start[order[self.graph_of]] + step_of]
         self.cell = np.repeat(frame * batch.classes, self.count)
         self.cell += np.concatenate([sym[:n] for n in [0, *width.tolist()]])
         self.emit, self.alpha, self.beta = (np.empty(first[-1]) for _ in range(3))

@@ -522,6 +522,31 @@ class TestLayoutBuilds:
         assert [mask.shape for mask in builds] == [(1, frames), (2 * classes, frames)]
 
 
+class TestLayoutSorts:
+    """A timing-free guard on a layout's build: it sorts only the B kept
+    counts, and finds each graph's kept frames without sorting the mask."""
+
+    def test_a_build_sorts_only_arrays_of_length_b(self, monkeypatch):
+        labels = [[1, 2], [3], [], [2, 2, 1]]
+        frames = 9
+        keep = np.random.default_rng(34).random((len(labels), frames)) < 0.5
+        for row, seq in enumerate(labels):
+            keep[row, : min_alignment_length(seq)] = True
+        keep[2] = False  # a row that keeps no frame
+        assert not keep.all()
+        engine = pack(labels, STANDARD, frames, CLASSES)
+        sorted_shapes = []
+        argsort = np.argsort
+
+        def spy(a, *args, **kwargs):
+            sorted_shapes.append(np.shape(a))
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", spy)
+        engine.layout(keep)
+        assert sorted_shapes and all(shape == (len(labels),) for shape in sorted_shapes)
+
+
 class TestTrain:
     def test_loss_decreases(self):
         corpus = generate_corpus(SMALL)
