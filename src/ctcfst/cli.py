@@ -25,7 +25,9 @@ import numpy as np
 from .errors import CtcFstError
 # cmd_loss calls parse_matrix, format_matrix and ctc_loss by these global names,
 # where benchmarks/run.py wraps them for its loss.* spans.
-from .fsa import format_matrix, format_number, fst_to_text, parse_float, parse_int, parse_matrix
+from .fsa import (
+    first_bad, format_matrix, format_number, fst_to_text, parse_float, parse_int, parse_matrix
+)
 from .loss import ctc_loss, grad_check
 from .skip import SWEEP_BETAS, sweep_thresholds
 from .topology import (
@@ -285,12 +287,14 @@ def cmd_topo(args, parser) -> int:
 
 def _check_log_probs(grid) -> None:
     """Refuse a grid row whose log-sum-exp lies more than ``LOG_PROB_TOLERANCE``
-    from 0: ``ctc_loss`` takes any finite scores, but its gradient holds only for
-    log-softmax rows, and ``skip analyze`` reads column 0 as a log blank
-    probability. A row holding a non-finite value sums to NaN and passes, for
-    ``ctc_loss`` or the blank probability check to name the value."""
+    from 0, an all -inf row among them, then a NaN or +inf entry, named in
+    ``ctc_loss``'s words: ``ctc_loss`` takes any finite scores, but its
+    gradient holds only for log-softmax rows, and ``skip analyze`` reads only
+    column 0, as a log blank probability. A -inf entry in a row that sums to
+    1 is a zero probability and passes."""
     top = grid.max(axis=1, keepdims=True)
-    with np.errstate(invalid="ignore"):
+    top[top == -np.inf] = 0.0  # an all -inf row sums to exp(-inf) = 0
+    with np.errstate(invalid="ignore", divide="ignore"):
         sums = np.log(np.exp(grid - top).sum(axis=1)) + top[:, 0]
     off = np.abs(sums) > LOG_PROB_TOLERANCE
     if off.any():
@@ -299,6 +303,9 @@ def _check_log_probs(grid) -> None:
             f"grid row {row} is not log-probabilities: its log-sum-exp is "
             f"{format_number(sums[row])}, not 0"
         )
+    ok = grid < np.inf  # a NaN or +inf row sums to NaN, which passes above
+    if not ok.all():
+        raise ValueError(f"grid must be finite: {first_bad(ok, grid)}")
 
 
 def cmd_loss(args, parser) -> int:

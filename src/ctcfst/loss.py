@@ -323,18 +323,23 @@ def grad_check(
     """Max relative error between analytic and central-difference gradients.
 
     The chain is packed and laid out once for 2C copies of the labels; each
-    frame t runs that layout on its C up- and C down-bumped logit grids.
+    frame t runs that layout on its C up- and C down-bumped logit grids. Each
+    quotient divides by the step the rounded bumps made, not by 2 epsilon.
     """
     if not 0 < epsilon < np.inf:
         raise ValueError(f"epsilon must be a finite positive number, got {format_number(epsilon)}")
     logits = np.asarray(logits, dtype=float)
     analytic = ctc_loss(labels, log_softmax(logits), variant).grad_logits
-    with np.errstate(over="ignore"):
-        if not np.isfinite(logits + epsilon - 2 * epsilon).all():
-            raise ValueError(f"epsilon {format_number(epsilon)} bumps a logit past the float range")
-    moved = logits + epsilon != logits
-    if not moved.all():  # its numeric gradient would read 0
-        raise ValueError(f"epsilon {format_number(epsilon)} leaves a logit unmoved: {first_bad(moved, logits)}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        up = logits + epsilon
+        down = up - 2 * epsilon
+        step = up - down
+    moved = (0 < step) & (step < np.inf)  # not rounded away, not overflowed
+    if not moved.all():
+        raise ValueError(
+            f"epsilon {format_number(epsilon)} leaves a logit unmoved or past the float "
+            f"range: {first_bad(moved, logits)}"
+        )
     frames, classes = logits.shape
     batch = pack([labels] * 2 * classes, variant, frames, classes)
     layout = batch.layout(np.ones((2 * classes, frames), dtype=bool))
@@ -342,11 +347,10 @@ def grad_check(
     numeric = np.empty_like(analytic)
     for t in range(frames):
         bumped = np.repeat(logits[None], 2 * classes, axis=0)
-        up, down = bumped[:classes], bumped[classes:]
-        up[cols, t, cols] += epsilon
-        down[cols, t, cols] = up[cols, t, cols] - 2 * epsilon
+        bumped[cols, t, cols] = up[t]
+        bumped[classes + cols, t, cols] = down[t]
         loss = batch_loss(layout, log_softmax(bumped))[0]
-        numeric[t] = (loss[:classes] - loss[classes:]) / (2 * epsilon)
+        numeric[t] = (loss[:classes] - loss[classes:]) / step[t]
     return float((np.abs(analytic - numeric) / (np.abs(numeric) + 1e-8)).max())
 
 

@@ -385,7 +385,10 @@ class TestGradCheckCommand:
             path.write_text(logits)
         argv = ["grad-check", "--labels", "A", "--logits", str(path), "--epsilon", epsilon]
         assert main(argv) == 1
-        err = f"error: epsilon {format_number(float(epsilon))} leaves a logit unmoved: {where}\n"
+        err = (
+            f"error: epsilon {format_number(float(epsilon))} leaves a logit unmoved or past "
+            f"the float range: {where}\n"
+        )
         assert capsys.readouterr() == ("", err)
 
     def test_non_finite_logits_name_the_entry(self, tmp_path, capsys):
@@ -450,6 +453,31 @@ class TestSkipCommand:
             "error: grid row 0 is not log-probabilities: its log-sum-exp is "
             "-0.298586722017, not 0\n"
         ))
+
+    @pytest.mark.parametrize(
+        "row, err",
+        [
+            ("0 nan", "grid must be finite: row 0, column 1 holds nan"),
+            ("0 inf", "grid must be finite: row 0, column 1 holds inf"),
+            ("0 1e999", "grid must be finite: row 0, column 1 holds inf"),
+            ("-inf -inf", "grid row 0 is not log-probabilities: its log-sum-exp is -inf, not 0"),
+            ("nan 0", "blank probabilities must lie in [0, 1]: row 0 holds nan"),
+        ],
+    )
+    def test_non_finite_entry_beside_the_blank_exits_one(self, tmp_path, capsys, row, err):
+        # skip analyze reads only column 0, so the row check names the rest.
+        path = tmp_path / "probs.txt"
+        path.write_text(f"2 2\n{row}\n-1.20397280433 -0.356674943939\n")
+        argv = ["skip", "analyze", "--probs", str(path), "--tokens", "1", "--beta", "0.9"]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {err}\n")
+
+    def test_zero_probability_in_a_row_that_sums_to_one_passes(self, tmp_path, capsys):
+        path = tmp_path / "probs.txt"
+        path.write_text("2 2\n-inf 0\n-1.20397280433 -0.356674943939\n")
+        argv = ["skip", "analyze", "--probs", str(path), "--tokens", "1", "--beta", "0.9"]
+        assert main(argv) == 0
+        assert capsys.readouterr() == ("beta,ratio,gamma_max\n0.9,0,0.5\n", "")
 
     def test_log_probabilities_to_six_digits_pass(self, tmp_path, capsys):
         grid = np.log([[0.95, 0.03, 0.02], [0.2, 0.5, 0.3], [0.991, 0.004, 0.005]])
@@ -727,6 +755,11 @@ class TestExperimentCommands:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "'betas'" in err
 
+    def test_null_skip_beta_is_no_skipping(self, tmp_path, capsys):
+        assert self._train_toy(tmp_path, {"skip_beta": None}) == 0
+        assert capsys.readouterr() == ("", "")
+        assert (tmp_path / "out" / "report.csv").read_text().startswith("name,")
+
     def test_non_integral_steps_exits_one(self, tmp_path, capsys):
         assert self._train_toy(tmp_path, {"steps": 2.7}) == 1
         err = capsys.readouterr().err
@@ -757,6 +790,9 @@ class TestExperimentCommands:
             ("train-toy", {"step_size": -1}, "step_size must be finite and >= 0"),
             ("train-toy", {"warmup_fraction": 2}, "warmup_fraction must lie in [0, 1]"),
             ("train-toy", {"seed": -1}, "seed must be >= 0"),
+            ("train-toy", {"min_tokens": 6}, "need 1 <= min_tokens <= max_tokens"),
+            ("train-toy", {"sustain_scale": 0}, "sustain_scale must lie in (0, 1]"),
+            ("train-toy", {"sustain_scale": 1.5}, "sustain_scale must lie in (0, 1]"),
             ("compare", {"seed": -1}, "seed must be >= 0"),
             ("compare", {"skip_beta": 0.5}, "'skip_beta' does not apply to compare"),
             ("compare", {"betas": [0.5, 0.99]}, "needs 0.9 in betas"),
@@ -764,7 +800,8 @@ class TestExperimentCommands:
         ids=[
             "list", "seed-null", "steps-null", "steps-bool", "noise-string", "noise-huge",
             "betas-range", "betas-empty", "train-utterances-zero", "step-size-negative",
-            "warmup-fraction-two", "seed-negative", "compare-seed-negative", "compare-skip-beta",
+            "warmup-fraction-two", "seed-negative", "min-tokens-above-max", "sustain-scale-zero",
+            "sustain-scale-above-one", "compare-seed-negative", "compare-skip-beta",
             "compare-betas-without-0.9",
         ],
     )
@@ -842,6 +879,12 @@ class TestExperimentCommands:
         assert capsys.readouterr().err == (
             f"error: run spec {spec!r}: could not convert string to float: {bad!r}\n"
         )
+
+    def test_unknown_run_spec_variant_exits_one_before_any_corpus(
+        self, tmp_path, capsys, no_corpus
+    ):
+        assert main(["compare", "--runs", "foo:1,standard", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr() == ("", "error: run spec 'foo:1': unknown variant 'foo'\n")
 
     def test_standard_run_spec_takes_no_parameter(self, tmp_path, capsys, no_corpus):
         code = main(["compare", "--runs", "standard:3,hard:1", "--out", str(tmp_path)])

@@ -83,6 +83,11 @@ class TestLogSoftmax:
 
 
 class TestCtcLoss:
+    def test_grid_must_be_a_matrix(self):
+        with pytest.raises(ValueError) as info:
+            ctc_loss([1], np.zeros(3))
+        assert str(info.value) == "grid must be a T x (V+1) matrix, not (3,)"
+
     def test_single_alignment(self):
         grid = random_grid(np.random.default_rng(1), 1, 4)
         result = ctc_loss([2], grid)
@@ -209,6 +214,12 @@ class TestGradCheck:
             logits = rng.standard_normal((5, 4))
             assert grad_check(labels, logits, variant) < 1e-4
 
+    def test_divides_by_the_step_the_rounded_bumps_made(self):
+        # At 1e6 a float's spacing is 1.16e-10, so a bump of 2e-10 rounds to
+        # a step other than 4e-10; dividing by 4e-10 read an error of 0.145.
+        logits = 1e6 + np.random.default_rng(3).standard_normal((5, 4))
+        assert grad_check([1, 2], logits, epsilon=2e-10) < 1e-3
+
 
 class TestGreedyDecode:
     def test_dominant_path_collapses(self):
@@ -263,6 +274,23 @@ class TestMatrixFormat:
     def test_row_width_checked(self):
         with pytest.raises(ValueError, match="values"):
             parse_matrix("1 3\n0 0\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("2 3\n0 0 0\n0 0\n", "row 1 has 2 values, expected 3"),
+            ("1 2\n0 x\n", "could not convert string 'x' to float64 at row 0, column 2."),
+            ("1 2\n0 \u0663\n", "could not convert string '\u0663' to float64 at row 0, column 2."),
+            ("1 2\n0 1_0\n", "could not convert string '1_0' to float64 at row 0, column 2."),
+            ("", "empty matrix file"),
+            ("\n \n", "empty matrix file"),
+        ],
+        ids=["ragged", "letter", "arabic-indic-digit", "underscore", "empty", "blank-lines"],
+    )
+    def test_bad_body_is_named_in_one_line(self, text, message):
+        with pytest.raises(ValueError) as info:
+            parse_matrix(text)
+        assert str(info.value) == message
 
 
 ORACLE_SETTINGS = settings(max_examples=50, deadline=None, derandomize=True, database=None)

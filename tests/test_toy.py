@@ -35,6 +35,7 @@ from ctcfst import (
 from ctcfst.lattice import intersect_dense, occupancy, total_score
 from ctcfst.loss import GraphBatch, batch_loss, grad_check, pack
 from ctcfst.reference import build_training_graph
+from ctcfst.skip import SweepPoint
 from ctcfst.toy import ExperimentConfig, ToyModel
 
 SMALL = CorpusConfig(num_utterances=30, seed=11)
@@ -547,6 +548,20 @@ class TestLayoutSorts:
         assert sorted_shapes and all(shape == (len(labels),) for shape in sorted_shapes)
 
 
+class TestLayoutShapes:
+    @pytest.mark.parametrize("shape", [(2, 3), (3,)], ids=str)
+    def test_keep_must_be_one_row_per_graph(self, shape):
+        with pytest.raises(ValueError) as info:
+            pack([[1]], STANDARD, 3, CLASSES).layout(np.ones(shape, dtype=bool))
+        assert str(info.value) == f"keep must be a (1, T) mask, not {shape}"
+
+    def test_grids_must_match_the_layout(self):
+        layout = pack([[1]], STANDARD, 3, CLASSES).layout(np.ones((1, 3), dtype=bool))
+        with pytest.raises(ValueError) as info:
+            layout.run(np.zeros((1, 4, CLASSES)))
+        assert str(info.value) == f"grids must be (1, 3, {CLASSES}), not (1, 4, {CLASSES})"
+
+
 class TestTrain:
     def test_loss_decreases(self):
         corpus = generate_corpus(SMALL)
@@ -631,6 +646,13 @@ class TestEvaluate:
         report = evaluate(model, corpus)
         # Uniform posterior 1/(V+1) never exceeds any threshold >= 0.8.
         assert all(point.ratio == 0.0 for point in report.sweep)
+
+    def test_ratio_at_a_threshold_outside_the_sweep_raises(self):
+        report = ctcfst.toy.ExperimentReport("standard", 0.0, [SweepPoint(0.9, 0.5, 0.6)], 0.0, 0.6)
+        assert report.ratio_at(0.9) == 0.5
+        with pytest.raises(KeyError) as info:
+            report.ratio_at(0.8)
+        assert info.value.args == ("threshold 0.8 not in sweep",)
 
     def test_edit_distance(self):
         assert edit_distance([1, 2, 3], [1, 2, 3]) == 0
