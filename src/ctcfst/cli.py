@@ -287,11 +287,12 @@ def cmd_topo(args, parser) -> int:
 
 def _check_log_probs(grid) -> None:
     """Refuse a grid row whose log-sum-exp lies more than ``LOG_PROB_TOLERANCE``
-    from 0, an all -inf row among them, then a NaN or +inf entry, named in
-    ``ctc_loss``'s words: ``ctc_loss`` takes any finite scores, but its
-    gradient holds only for log-softmax rows, and ``skip analyze`` reads only
-    column 0, as a log blank probability. A -inf entry in a row that sums to
-    1 is a zero probability and passes."""
+    from 0 (an all -inf row's is -inf), then a NaN or +inf entry, named in
+    ``ctc_loss``'s words. ``ctc_loss`` takes any finite scores, but its
+    gradient holds only for log-softmax rows; ``skip analyze`` reads only
+    column 0, as a log blank probability, so its other columns are checked
+    only here. A -inf entry in a row that sums to 1 is a zero probability
+    and passes."""
     top = grid.max(axis=1, keepdims=True)
     top[top == -np.inf] = 0.0  # an all -inf row sums to exp(-inf) = 0
     with np.errstate(invalid="ignore", divide="ignore"):

@@ -35,7 +35,6 @@ from ctcfst import (
 from ctcfst.lattice import intersect_dense, occupancy, total_score
 from ctcfst.loss import GraphBatch, batch_loss, grad_check, pack
 from ctcfst.reference import build_training_graph
-from ctcfst.skip import SweepPoint
 from ctcfst.toy import ExperimentConfig, ToyModel
 
 SMALL = CorpusConfig(num_utterances=30, seed=11)
@@ -648,7 +647,8 @@ class TestEvaluate:
         assert all(point.ratio == 0.0 for point in report.sweep)
 
     def test_ratio_at_a_threshold_outside_the_sweep_raises(self):
-        report = ctcfst.toy.ExperimentReport("standard", 0.0, [SweepPoint(0.9, 0.5, 0.6)], 0.0, 0.6)
+        sweep = [ctcfst.skip.SweepPoint(0.9, 0.5, 0.6)]
+        report = ctcfst.toy.ExperimentReport("standard", 0.0, sweep, 0.0, 0.6)
         assert report.ratio_at(0.9) == 0.5
         with pytest.raises(KeyError) as info:
             report.ratio_at(0.8)
