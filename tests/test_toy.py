@@ -533,7 +533,6 @@ class TestLayoutSorts:
         for row, seq in enumerate(labels):
             keep[row, : min_alignment_length(seq)] = True
         keep[2] = False  # a row that keeps no frame
-        assert not keep.all()
         engine = pack(labels, STANDARD, frames, CLASSES)
         sorted_shapes = []
         argsort = np.argsort
