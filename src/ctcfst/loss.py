@@ -2,14 +2,14 @@
 
 One call, :func:`batch_loss`, on one batched forward-backward engine gives
 per-row losses, occupancy and masked logit gradients. The engine has two
-stages: :func:`pack` writes the CTC chains once, :meth:`GraphBatch.layout`
-lays them out for a keep mask, and :meth:`Layout.run` runs forward and
-backward fused, one log-add per step, over grids. It serves
-:func:`ctc_loss`, as a batch of one with every frame kept, :func:`grad_check`,
-whose bumped grids for every frame share one layout, and the toy trainer,
-which masks out its padding and skipped frames and lays the batch out again
-only when the mask changes. Each graph steps only through its own kept frames
-over its own states, so the work is the sum over graphs of states times kept
+stages: :func:`pack` writes graphs once, :meth:`GraphBatch.layout` lays
+them out for a keep mask, and :meth:`Layout.run` runs forward and backward
+fused, one log-add per step, over grids. Its callers pack the CTC chains of
+:func:`ctcfst.topology._chain`: :func:`ctc_loss`, a batch of one with every
+frame kept, :func:`grad_check`, one chain whose bumped grids for every frame
+share one layout, and the toy trainer, which masks out its padding and
+skipped frames and lays the batch out again only when the mask changes.
+Each graph steps only through its own kept frames over its own states, so the work is the sum over graphs of states times kept
 frames, whatever the padding. The tests cross-check it against the dense
 forward-backward of :mod:`ctcfst.lattice` and the oracles of
 :mod:`ctcfst.reference`.
@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InfeasibleAlignmentError, NoPathError
 from .fsa import first_bad, format_number
-from .topology import STANDARD, TopologyVariant, _chain, _validate_labels, collapse_ctc
+from .topology import STANDARD, TopologyVariant, _chain, collapse_ctc
 # benchmarks/run.py reads ctc_loss_alpha here. After .topology: reference imports it.
 from .reference import ctc_loss_alpha  # noqa: F401
 
@@ -223,30 +223,28 @@ def _slots(column, offset, weight, width) -> tuple[np.ndarray, np.ndarray]:
     return offsets, weights
 
 
-def pack(
-    label_seqs: Sequence[Sequence[int]], variant: TopologyVariant, num_frames: int, num_classes: int
-) -> GraphBatch:
-    """Pack the CTC chains of ``label_seqs`` for (num_frames, num_classes) grids.
-
-    The chains are :func:`ctcfst.topology._chain`'s for ``num_frames``
-    frames; the tests hold them to :func:`ctcfst.reference.build_training_graph`.
-    One :func:`_slots` call over the arcs listed twice writes the slot table:
-    out-arcs by increasing destination, in-arcs by increasing source. Raises
-    ``ValueError`` for a label outside 1..``num_classes - 1``.
+def pack(chains: Sequence[tuple], num_classes: int) -> GraphBatch:
+    """Pack state-emitting graphs for grids of ``num_classes`` symbols. Each
+    is ``(arcs, syms, finals)`` as :func:`ctcfst.topology._chain` writes the
+    CTC chain it decides: arcs ``(src, dst, weight)`` out of start state 0,
+    the symbol each state's in-arcs read and the final states. One
+    :func:`_slots` call over the arcs listed twice writes the slot table, in
+    the arcs' order. Raises ``ValueError`` for a symbol outside 0..C-1.
     """
-    for labels in label_seqs:
-        _validate_labels(labels, num_classes - 1)
-    arcs, syms, finals = zip(*(_chain(labels, variant, num_frames) for labels in label_seqs))
+    arcs, syms, finals = zip(*chains)
     states = np.array([len(s) for s in syms])
     base = np.cumsum(states) - states
     nodes = int(states.sum())
+    sym = np.fromiter(itertools.chain.from_iterable(syms), np.intp, nodes)
+    bad = sym[(sym < 0) | (sym >= num_classes)]
+    if bad.size:
+        raise ValueError(f"chain symbol {bad[0]} outside 0..{num_classes - 1}")
     # ``_chain`` sorts its arcs by (source, destination), and the slots keep that order.
     src, dst, weight = np.array(list(itertools.chain.from_iterable(arcs))).T
     shift = np.repeat(base, [len(a) for a in arcs])
     src, dst = src.astype(np.intp) + shift, dst.astype(np.intp) + shift
     column = np.concatenate([src, nodes + dst])  # leaving src, entering dst
     offset, weight = _slots(column, np.tile(src - dst, 2), np.tile(weight, 2), 2 * nodes)
-    sym = np.fromiter(itertools.chain.from_iterable(syms), np.intp, nodes)
     fin = np.full(nodes, -np.inf)
     final = np.fromiter(itertools.chain.from_iterable(finals), np.intp)
     fin[final + np.repeat(base, [len(f) for f in finals])] = 0.0
@@ -306,7 +304,8 @@ def ctc_loss(
     if not finite.all():
         raise ValueError(f"grid must be finite: {first_bad(finite, grid)}")
     num_frames, num_cols = grid.shape
-    layout = pack([labels], variant, num_frames, num_cols).layout(np.ones((1, num_frames), bool))
+    chain = _chain(labels, variant, num_frames, num_cols - 1)
+    layout = pack([chain], num_cols).layout(np.ones((1, num_frames), bool))
     try:
         loss, grad, occupancy = batch_loss(layout, grid[None])
     except NoPathError:
@@ -322,8 +321,8 @@ def grad_check(
 ) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    The chain is packed and laid out once for 2C copies of the labels; each
-    frame t runs that layout on its C up- and C down-bumped logit grids. Each
+    The chain is built once, packed and laid out as 2C copies; each frame t
+    runs that layout on its C up- and C down-bumped logit grids. Each
     quotient divides by the step the rounded bumps made, not by 2 epsilon.
     """
     if not 0 < epsilon < np.inf:
@@ -341,8 +340,8 @@ def grad_check(
             f"range: {first_bad(moved, logits)}"
         )
     frames, classes = logits.shape
-    batch = pack([labels] * 2 * classes, variant, frames, classes)
-    layout = batch.layout(np.ones((2 * classes, frames), dtype=bool))
+    chain = _chain(labels, variant, frames, classes - 1)
+    layout = pack([chain] * 2 * classes, classes).layout(np.ones((2 * classes, frames), bool))
     cols = np.arange(classes)
     numeric = np.empty_like(analytic)
     for t in range(frames):

@@ -13,10 +13,10 @@ Three topology variants are supported:
   accepted (counting the first one); longer runs are pruned structurally.
 
 A transcript's training graph, whose paths at a fixed frame count are its
-valid alignments, is its CTC chain (:func:`build_chain`, which ``topo build
---labels`` emits and the loss engine packs). Composing the topology with the
-linear graph (:func:`ctcfst.reference.build_training_graph`) is the tests'
-reference for it.
+valid alignments, is its CTC chain: ``_chain`` decides it, the loss engine's
+callers pack it and :func:`build_chain` writes it for ``topo build
+--labels``. Composing the topology with the linear graph
+(:func:`ctcfst.reference.build_training_graph`) is the tests' reference for it.
 """
 
 from __future__ import annotations
@@ -132,9 +132,11 @@ def _run_shape(variant: TopologyVariant, num_frames: float = float("inf")):
     return 1, -variant.penalty if variant.kind == "soft" else 0.0
 
 
-def _chain(labels: Sequence[int], variant: TopologyVariant, num_frames: float = float("inf")):
-    """One chain's arcs ``(src, dst, weight)``, sorted so that each state's
-    arcs enter and leave in state order; its state symbols; its final states."""
+def _chain(labels: Sequence[int], variant: TopologyVariant, num_frames: float, vocab_size: int):
+    """The CTC chain of ``labels`` for the engine and ``build_chain``: arcs ``(src, dst,
+    weight)`` sorted so that each state's arcs enter and leave in state order, state
+    symbols and final states. Raises ``ValueError`` for a label outside 1..``vocab_size``."""
+    _validate_labels(labels, vocab_size)
     depth, loop = _run_shape(variant, num_frames)
     arcs, syms = [(0, 0, 0.0)], [BLANK]
     blank, run = 0, []
@@ -165,8 +167,7 @@ def build_chain(labels: Sequence[int], vocab_size: int, variant: TopologyVariant
     depth, _ = _run_shape(variant)
     # At most 3 * depth + 2 arcs per label, and 1 + depth + 1 besides.
     _check_size((len(labels) + 1) * (3 * depth + 2))
-    _validate_labels(labels, vocab_size)
-    arcs, syms, finals = _chain(labels, variant)
+    arcs, syms, finals = _chain(labels, variant, float("inf"), vocab_size)
     fst = Fst()
     for _ in range(len(syms) + 1):
         fst.add_state()

@@ -32,7 +32,7 @@ from .errors import InfeasibleAlignmentError, NoPathError, TrainingDivergedError
 from .fsa import format_number
 from .loss import batch_loss, greedy_decode, log_softmax, pack
 from .skip import SWEEP_BETAS, SweepPoint, _check_threshold, classify_blank_frames, sweep_thresholds
-from .topology import STANDARD, TopologyVariant
+from .topology import STANDARD, TopologyVariant, _chain
 
 # The most noise a corpus takes: a million times its unit class means, far
 # past any useful corpus and far below where ``noise * standard_normal``
@@ -231,7 +231,7 @@ def train(
         if t_counts[n] < min_lens[n]:
             raise InfeasibleAlignmentError(int(t_counts[n]), len(u.labels), variant)
 
-    engine = pack([u.labels for u in utts], variant, real.shape[1], classes)
+    engine = pack([_chain(u.labels, variant, real.shape[1], classes - 1) for u in utts], classes)
     model = ToyModel(np.zeros((feats.shape[-1], classes)), np.zeros(classes))
     warmup_steps = int(round(warmup_fraction * steps))
     layout = engine.layout(real)

@@ -1,16 +1,18 @@
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_grid, uniform_grid
+from conftest import pack_labels, random_grid, uniform_grid
 import ctcfst
 from ctcfst import (
     STANDARD,
     InfeasibleAlignmentError,
+    NoPathError,
     ctc_loss,
     format_matrix,
     grad_check,
@@ -21,7 +23,8 @@ from ctcfst import (
     min_alignment_length,
     soft,
 )
-from ctcfst.fsa import format_number
+from ctcfst.fsa import EPSILON, TERMINAL, Fst, format_number
+from ctcfst.lattice import intersect_dense, occupancy, total_score
 from ctcfst.loss import _log_add_arcs, batch_loss, pack
 from ctcfst.reference import brute_force_loss, ctc_loss_alpha
 from ctcfst.topology import _chain
@@ -440,7 +443,7 @@ class TestLogAddArcs:
         assert not np.array_equal(forward, reversed_)
 
     def test_empty_label_sequences_pack_one_slot(self):
-        batch = pack([[], []], STANDARD, 3, 3)
+        batch = pack_labels([[], []], STANDARD, 3, 3)
         assert len(batch.offset) == 1
         grids = np.log(np.full((2, 3, 3), 1 / 3))
         total, occupancy = batch.layout(np.ones((2, 3), bool)).run(grids)
@@ -461,15 +464,17 @@ class TestPackedFormat:
         "variant", [STANDARD, soft(0.5), hard(1), hard(2), hard(3), hard(9)], ids=str
     )
 
+    def chains(self, variant):
+        return [_chain(labels, variant, self.FRAMES, 3) for labels in self.LABELS]
+
     @VARIANTS
     def test_slots_follow_the_chain_arcs_in_order(self, variant):
-        batch = pack(self.LABELS, variant, self.FRAMES, 4)
+        batch = pack(self.chains(variant), 4)
         nodes = len(batch.sym)
         assert batch.offset.shape == batch.weight.shape == (len(batch.offset), 2 * nodes)
         assert batch.offset.dtype == np.intp
         base = 0
-        for labels in self.LABELS:
-            arcs, syms, finals = _chain(labels, variant, self.FRAMES)
+        for arcs, syms, finals in self.chains(variant):
             size = len(syms)
             for state in range(size):
                 n = base + state
@@ -490,18 +495,15 @@ class TestPackedFormat:
             fin[finals] = 0.0
             assert np.array_equal(batch.fin[base : base + size], fin)
             base += size
-        assert batch.states.tolist() == [
-            len(_chain(x, variant, self.FRAMES)[1]) for x in self.LABELS
-        ]
+        assert batch.states.tolist() == [len(syms) for _, syms, _ in self.chains(variant)]
         assert batch.sym.shape == batch.fin.shape == (base,)
 
     @VARIANTS
     def test_each_arc_once_in_each_half_with_one_weight(self, variant):
-        batch = pack(self.LABELS, variant, self.FRAMES, 4)
+        batch = pack(self.chains(variant), 4)
         nodes = len(batch.sym)
         arcs, base = [], 0
-        for labels in self.LABELS:
-            chain_arcs, syms, _ = _chain(labels, variant, self.FRAMES)
+        for chain_arcs, syms, _ in self.chains(variant):
             arcs += [(base + src, base + dst, w) for src, dst, w in chain_arcs]
             base += len(syms)
         slot, column = np.nonzero(batch.weight > -np.inf)
@@ -535,7 +537,7 @@ class TestLayoutSlotTable:
     ]
 
     def test_a_reordered_batch_reads_this_table(self):
-        batch = pack([[1], [2, 1]], soft(0.5), 4, 3)
+        batch = pack_labels([[1], [2, 1]], soft(0.5), 4, 3)
         layout = batch.layout(np.array([[1, 0, 1, 0], [1, 1, 1, 1]], bool))
         # Every iteration's index and weight are column slices of the one table.
         index, weight = layout.sweep[0][1].base, layout.sweep[0][2].base
@@ -571,3 +573,153 @@ class TestOneLossHome:
         del calls[:]
         ctcfst.train(corpus, steps=2)
         assert len(calls) == 2 and calls[0][0] == 3
+
+
+class TestChainEntryPoint:
+    """``pack`` takes chains and checks only their symbols; which chain a
+    variant gives, and the label range, are ``topology._chain``'s."""
+
+    @pytest.mark.parametrize("symbol", [-1, 4])
+    def test_pack_refuses_a_symbol_outside_the_grid_columns(self, symbol):
+        chain = ([(0, 0, 0.0), (0, 1, 0.0)], [0, symbol], [1])
+        with pytest.raises(ValueError) as info:
+            pack([_chain([1], STANDARD, 3, 3), chain], 4)
+        assert str(info.value) == f"chain symbol {symbol} outside 0..3"
+
+    def test_grad_check_builds_at_most_two_chains(self, monkeypatch):
+        built = []
+
+        def spy(*args):
+            built.append(args)
+            return _chain(*args)
+
+        monkeypatch.setattr(ctcfst.loss, "_chain", spy)
+        logits = np.random.default_rng(35).standard_normal((4, 21))
+        grad_check([1, 20, 20], logits, hard(2))
+        # ctc_loss's chain for the analytic gradient, then the one packed 2C times.
+        assert built == [([1, 20, 20], hard(2), 4, 20)] * 2
+
+    @pytest.mark.parametrize("labels, bad", [([1, 3], 3), ([0], 0), ([2, -1], -1)])
+    def test_every_caller_refuses_a_label_in_the_words_of_the_chain(self, labels, bad):
+        message = f"label {bad} outside vocabulary range 1..2"
+        corpus = ctcfst.SyntheticCorpus(
+            ctcfst.CorpusConfig(vocab_size=2, feature_dim=3),
+            [ctcfst.Utterance(np.zeros((6, 3)), tuple(labels))],
+        )
+        for call in (
+            lambda: ctc_loss(labels, uniform_grid(6, 3)),
+            lambda: grad_check(labels, np.zeros((6, 3))),
+            lambda: ctcfst.train(corpus, steps=1),
+            lambda: ctcfst.build_chain(labels, 2, hard(2)),
+        ):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message
+
+
+# Sizes are capped so the whole class stays cheap: T <= 8, S <= 7, B <= 4, C <= 4.
+GRAPH_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def emitting_graphs(draw, classes):
+    """A state-emitting graph that no CTC chain gives: 1-7 states, each with
+    a symbol that its in-arcs read, any set of in-arcs per state, self-loops
+    and backward arcs included, in no sorted order, and 1-7 final states."""
+    size = draw(st.integers(1, 7))
+    state = st.integers(0, size - 1)
+    syms = draw(st.lists(st.integers(0, classes - 1), min_size=size, max_size=size))
+    arcs = [
+        (src, dst, draw(st.floats(-3.0, 3.0)))
+        for dst in range(size)
+        for src in draw(st.lists(state, unique=True, min_size=dst == 0))
+    ]
+    return arcs, syms, sorted(draw(st.sets(state, min_size=1)))
+
+
+@st.composite
+def emitting_batches(draw):
+    """1-4 graphs, their (B, T, C) log-softmax grids of logits at scale 1, 30
+    or 700, and a keep mask that drops about 30% of the frames."""
+    classes, frames = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    chains = draw(st.lists(emitting_graphs(classes), min_size=1, max_size=4))
+    scale = draw(st.sampled_from([1.0, 30.0, 700.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grids = log_softmax(rng.uniform(-scale, scale, (len(chains), frames, classes)))
+    return chains, grids, rng.random((len(chains), frames)) >= 0.3
+
+
+def dense_oracle(chain, grid):
+    """Total and (T, C) occupancy of ``chain`` over ``grid`` by the dense
+    oracle, each arc reading its destination's symbol. With no frames, the
+    only path is the start state, if it is final."""
+    arcs, syms, finals = chain
+    if not len(grid):
+        if 0 not in finals:
+            raise NoPathError("the start state is not final")
+        return 0.0, grid
+    fst = Fst()
+    for _ in range(len(syms) + 1):
+        fst.add_state()
+    fst.start, fst.final = 0, len(syms)
+    for src, dst, weight in arcs:
+        fst.add_arc(src, dst, syms[dst], EPSILON, weight)
+    for state in finals:
+        fst.add_arc(state, fst.final, TERMINAL, EPSILON)
+    lat = intersect_dense(fst, grid)
+    return total_score(lat), occupancy(lat)
+
+
+def graph_shapes(chains):
+    """The shapes beyond a CTC chain that ``chains`` show."""
+    shapes = set()
+    for arcs, syms, finals in chains:
+        if max(Counter(dst for _, dst, _ in arcs).values(), default=0) > 3:
+            shapes.add("more than three in-arcs")
+        if any(dst < src for src, dst, _ in arcs):
+            shapes.add("backward arc")
+        if any(dst == src for src, dst, _ in arcs):
+            shapes.add("self-loop")
+        if len(finals) > 1:
+            shapes.add("several finals")
+        # A dead state lies on no path from the start to a final state.
+        ahead, behind = {0}, set(finals)
+        for _ in syms:
+            ahead |= {dst for src, dst, _ in arcs if src in ahead}
+            behind |= {src for src, dst, _ in arcs if dst in behind}
+        if len(ahead & behind) < len(syms):
+            shapes.add("dead state")
+    return shapes
+
+
+class TestAnyEmittingGraph:
+    """The engine knows no CTC: over random keep masks, it runs any
+    state-emitting graph as the dense oracle of :mod:`ctcfst.lattice` does."""
+
+    def test_matches_the_dense_oracle_or_finds_no_path(self):
+        seen = set()
+
+        @GRAPH_SETTINGS
+        @given(emitting_batches())
+        def check(case):
+            chains, grids, keep = case
+            layout = pack(chains, grids.shape[-1]).layout(keep)
+            try:
+                want = [dense_oracle(c, grid[mask]) for c, grid, mask in zip(chains, grids, keep)]
+            except NoPathError:
+                seen.add("no path")
+                with pytest.raises(NoPathError):
+                    layout.run(grids)
+                return
+            seen.update(graph_shapes(chains))  # the shapes the oracle checked
+            total, got = layout.run(grids)
+            for n, (want_total, want_occupancy) in enumerate(want):
+                assert total[n] == pytest.approx(want_total, rel=1e-12, abs=1e-9)
+                assert got[n, keep[n]] == pytest.approx(want_occupancy, abs=1e-9)
+                assert not got[n, ~keep[n]].any()
+
+        check()
+        assert seen == {
+            "more than three in-arcs", "backward arc", "self-loop", "several finals",
+            "dead state", "no path",
+        }

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import pack_labels
 import ctcfst.skip
 import ctcfst.toy
 from ctcfst import (
@@ -33,7 +34,7 @@ from ctcfst import (
     train,
 )
 from ctcfst.lattice import intersect_dense, occupancy, total_score
-from ctcfst.loss import GraphBatch, batch_loss, grad_check, pack
+from ctcfst.loss import GraphBatch, batch_loss, grad_check
 from ctcfst.reference import build_training_graph
 from ctcfst.toy import ExperimentConfig, ToyModel
 
@@ -147,7 +148,7 @@ def packed_batch(labels_list, grids, variant, masks=None):
     for n, grid in enumerate(grids):
         padded[n, : len(grid)] = grid
         keep[n, : len(grid)] = True if masks is None else masks[n]
-    return pack(labels_list, variant, t_max, CLASSES), padded, keep
+    return pack_labels(labels_list, variant, t_max, CLASSES), padded, keep
 
 
 @st.composite
@@ -274,7 +275,7 @@ class TestGraphBatchEngine:
         engine, padded, keep = packed_batch(labels_list, grids, variant, masks)
         total, occupancy = engine.layout(keep).run(padded)
         for n, labels in enumerate(labels_list):
-            alone = pack([labels], variant, padded.shape[1], CLASSES)
+            alone = pack_labels([labels], variant, padded.shape[1], CLASSES)
             one_total, one_occupancy = alone.layout(keep[n, None]).run(padded[n, None])
             assert total[n] == one_total[0]
             assert np.array_equal(occupancy[n], one_occupancy[0])
@@ -317,7 +318,7 @@ class TestGraphBatchEngine:
         perm = data.draw(st.permutations(range(len(grids))))
         engine, padded, keep = packed_batch(labels_list, grids, variant, masks)
         total, occupancy = engine.layout(keep).run(padded)
-        shuffled = pack([labels_list[n] for n in perm], variant, padded.shape[1], CLASSES)
+        shuffled = pack_labels([labels_list[n] for n in perm], variant, len(padded[0]), CLASSES)
         got_total, got_occupancy = shuffled.layout(keep[perm]).run(padded[perm])
         assert np.array_equal(got_total, total[perm])
         assert np.array_equal(got_occupancy, occupancy[perm])
@@ -418,7 +419,7 @@ class TestRaggedCost:
         keep[short] = real[short]
         classes = corpus.config.vocab_size + 1
         grids = log_softmax(rng.standard_normal(real.shape + (classes,)))
-        engine = pack(labels_list, variant, real.shape[1], classes)
+        engine = pack_labels(labels_list, variant, real.shape[1], classes)
         layout = engine.layout(keep)
 
         cells = []
@@ -459,7 +460,7 @@ class TestLayoutReuse:
         for row, labels in enumerate(self.LABELS):
             keep[row, : min_alignment_length(labels)] = True
         keep[1] = keep[2] = np.arange(frames) == 5  # rows that keep exactly 1 frame
-        engine = pack(self.LABELS, variant, frames, CLASSES)
+        engine = pack_labels(self.LABELS, variant, frames, CLASSES)
         grids = [
             log_softmax(scale * rng.standard_normal((len(self.LABELS), frames, CLASSES)))
             for scale in (1.0, 30.0, 5.0)
@@ -479,7 +480,7 @@ class TestLayoutReuse:
     def test_the_layout_keeps_its_own_copy_of_the_mask(self):
         grids = log_softmax(np.random.default_rng(32).standard_normal((2, 4, CLASSES)))
         keep = np.ones((2, 4), dtype=bool)
-        engine = pack([[1], [2, 3]], STANDARD, 4, CLASSES)
+        engine = pack_labels([[1], [2, 3]], STANDARD, 4, CLASSES)
         layout = engine.layout(keep)
         want = layout.run(grids)
         keep[:, 0] = False
@@ -533,7 +534,7 @@ class TestLayoutSorts:
         for row, seq in enumerate(labels):
             keep[row, : min_alignment_length(seq)] = True
         keep[2] = False  # a row that keeps no frame
-        engine = pack(labels, STANDARD, frames, CLASSES)
+        engine = pack_labels(labels, STANDARD, frames, CLASSES)
         sorted_shapes = []
         argsort = np.argsort
 
@@ -550,11 +551,11 @@ class TestLayoutShapes:
     @pytest.mark.parametrize("shape", [(2, 3), (3,)], ids=str)
     def test_keep_must_be_one_row_per_graph(self, shape):
         with pytest.raises(ValueError) as info:
-            pack([[1]], STANDARD, 3, CLASSES).layout(np.ones(shape, dtype=bool))
+            pack_labels([[1]], STANDARD, 3, CLASSES).layout(np.ones(shape, dtype=bool))
         assert str(info.value) == f"keep must be a (1, T) mask, not {shape}"
 
     def test_grids_must_match_the_layout(self):
-        layout = pack([[1]], STANDARD, 3, CLASSES).layout(np.ones((1, 3), dtype=bool))
+        layout = pack_labels([[1]], STANDARD, 3, CLASSES).layout(np.ones((1, 3), dtype=bool))
         with pytest.raises(ValueError) as info:
             layout.run(np.zeros((1, 4, CLASSES)))
         assert str(info.value) == f"grids must be (1, 3, {CLASSES}), not (1, 4, {CLASSES})"
