@@ -134,7 +134,13 @@ def format_matrix(matrix) -> str:
 
 def parse_matrix(text: str) -> np.ndarray:
     """Parse the matrix text format produced by :func:`format_matrix`. A
-    matrix needs at least one row and one column."""
+    matrix needs at least one row and one column. Its text must be ASCII:
+    ``str.split`` and ``np.loadtxt`` also split on a no-break space. Errors
+    count lines, rows and columns from 0."""
+    if not text.isascii():
+        at = re.search(r"[^\x00-\x7f]", text).start()
+        line, column = text.count("\n", 0, at), at - text.rfind("\n", 0, at) - 1
+        raise ValueError(f"line {line}, column {column} holds {text[at]!r}, not ASCII")
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise ValueError("empty matrix file")
@@ -150,10 +156,17 @@ def parse_matrix(text: str) -> np.ndarray:
     try:
         out = np.loadtxt(body, comments=None, ndmin=2)
     except ValueError:
-        # Name the first short or long row; a value that is no number re-raises.
-        for i, values in enumerate(line.split() for line in body):
+        # Name the first short or long row, else the first value that is no number.
+        rows = [line.split() for line in body]
+        for i, values in enumerate(rows):
             if len(values) != cols:
                 raise _bad_width(i, len(values), cols) from None
+        for i, values in enumerate(rows):
+            for j, value in enumerate(values):
+                try:
+                    parse_float(value)
+                except ValueError:
+                    raise ValueError(f"row {i}, column {j} holds {value!r}, not a number") from None
         raise
     if out.shape[1] != cols:
         raise _bad_width(0, out.shape[1], cols)

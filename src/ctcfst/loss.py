@@ -9,10 +9,10 @@ fused, one log-add per step, over grids. Its callers pack the CTC chains of
 frame kept, :func:`grad_check`, one chain whose bumped grids for every frame
 share one layout, and the toy trainer, which masks out its padding and
 skipped frames and lays the batch out again only when the mask changes.
-Each graph steps only through its own kept frames over its own states, so the work is the sum over graphs of states times kept
-frames, whatever the padding. The tests cross-check it against the dense
-forward-backward of :mod:`ctcfst.lattice` and the oracles of
-:mod:`ctcfst.reference`.
+Each graph steps only through its own kept frames over its own states, so
+the work is the sum over graphs of states times kept frames, whatever the
+padding. The tests cross-check it against the dense forward-backward of
+:mod:`ctcfst.lattice` and the oracles of :mod:`ctcfst.reference`.
 """
 
 from __future__ import annotations

@@ -275,7 +275,7 @@ class ExperimentReport:
         for point in self.sweep:
             if abs(point.beta - beta) < 1e-12:
                 return point.ratio
-        raise KeyError(f"threshold {beta} not in sweep")
+        raise ValueError(f"threshold {format_number(beta)} not in sweep")
 
 
 def edit_distance(hyp: Sequence[int], ref: Sequence[int]) -> int:

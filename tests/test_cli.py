@@ -70,9 +70,37 @@ class TestLoss:
 
     @pytest.mark.parametrize("labels", ["1,3", "0", "2,-1"])
     def test_label_outside_vocabulary_exits_one(self, capsys, uniform3, labels):
+        bad = {"1,3": 3, "0": 0, "2,-1": -1}[labels]
+        err = f"error: label {bad} outside vocabulary range 1..2\n"
         assert main(["loss", "--labels", labels, "--grid", uniform3]) == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "outside vocabulary range 1..2" in err
+        assert capsys.readouterr() == ("", err)
+        assert main(["grad-check", "--labels", labels, "--logits", uniform3]) == 1
+        assert capsys.readouterr() == ("", err)
+
+    @pytest.mark.parametrize(
+        "body, err",
+        [
+            ("0 x", "error: row 0, column 1 holds 'x', not a number\n"),
+            ("-0.5\u00a0-0.5", "error: line 1, column 4 holds '\\xa0', not ASCII\n"),
+        ],
+        ids=["not-a-number", "no-break-space"],
+    )
+    def test_bad_grid_entry_exits_one_with_one_line(self, tmp_path, capsys, body, err):
+        path = tmp_path / "grid.txt"
+        path.write_text(f"1 2\n{body}\n", encoding="utf-8")
+        assert main(["loss", "--labels", "1", "--grid", str(path)]) == 1
+        assert capsys.readouterr() == ("", err)
+
+    def test_no_break_space_in_the_header_exits_one(self, tmp_path, capsys):
+        # Split on as a space, it made a 1 x 2 grid of log(1/2) that scored 0.69314718056.
+        half = "-0.6931471805599453"
+        path = tmp_path / "grid.txt"
+        path.write_text(f"1\u00a02\n{half}\u00a0{half}\n", encoding="utf-8")
+        err = "error: line 0, column 1 holds '\\xa0', not ASCII\n"
+        assert main(["loss", "--labels", "1", "--grid", str(path)]) == 1
+        assert capsys.readouterr() == ("", err)
+        assert main(["skip", "analyze", "--probs", str(path), "--beta", "0.4"]) == 1
+        assert capsys.readouterr() == ("", err)
 
     @pytest.mark.parametrize("header", ["2.5 3", "2 -3"])
     def test_malformed_header_exits_one(self, tmp_path, capsys, header):
@@ -588,7 +616,7 @@ class TestBadInputExitsOne:
         path.write_text("\u0661 \u0662\n0 0\n")
         out = tmp_path / "ratios.csv"
         assert main(["skip", "analyze", "--probs", str(path), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "error: malformed matrix header: '\u0661 \u0662'\n"
+        assert capsys.readouterr().err == "error: line 0, column 0 holds '\u0661', not ASCII\n"
         assert not out.exists()
 
     def test_ascii_letters_map_a_to_1_and_z_to_26(self, capsys):

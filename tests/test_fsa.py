@@ -18,7 +18,7 @@ from ctcfst import (
 )
 import ctcfst
 from ctcfst import fsa
-from ctcfst.fsa import format_number, parse_float
+from ctcfst.fsa import format_number, parse_float, parse_matrix
 from ctcfst.lattice import intersect_dense, iterate_paths, total_score
 from ctcfst.reference import build_linear_graph, compose, connect, fst_from_text
 
@@ -205,3 +205,47 @@ class TestNumberRule:
                 elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                     found += [(name, node.lineno, m) for m in printf.findall(node.value)]
         assert [(name, spec) for name, _, spec in found] == [("fsa.py", fsa._NUMBER)], found
+
+
+class TestMatrixText:
+    """``parse_matrix`` names a bad entry in the package's words, counting
+    from 0, and refuses non-ASCII text, which ``str.split`` and ``np.loadtxt``
+    would split on as on a space."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1 2\n0 x\n", "row 0, column 1 holds 'x', not a number"),
+            ("2 3\n0 0 0\n\n1 0x10 nan(1)\n", "row 1, column 1 holds '0x10', not a number"),
+            ("1 1\n1_0\n", "row 0, column 0 holds '1_0', not a number"),
+            # A short row anywhere is named before a bad value.
+            ("2 2\n0 x\n0\n", "row 1 has 1 values, expected 2"),
+        ],
+        ids=["letter", "hex-and-nan-payload", "underscore", "width-first"],
+    )
+    def test_a_value_that_is_no_number_is_named(self, text, message):
+        with pytest.raises(ValueError) as info:
+            parse_matrix(text)
+        assert str(info.value) == message
+
+    NBSP = "\u00a0"
+    HALF = "-0.6931471805599453"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (f"1{NBSP}2\n{HALF} {HALF}\n", "line 0, column 1 holds '\\xa0', not ASCII"),
+            (f"1 2\n{HALF}{NBSP}{HALF}\n", "line 1, column 19 holds '\\xa0', not ASCII"),
+            (f"1 2\n\n{NBSP}\n{HALF} {HALF}\n", "line 2, column 0 holds '\\xa0', not ASCII"),
+            ("1 1\n\u0661\n", "line 1, column 0 holds '\u0661', not ASCII"),
+        ],
+        ids=["header", "body", "a-no-break-space-line", "arabic-indic-digit"],
+    )
+    def test_non_ascii_text_is_refused_at_its_first_character(self, text, message):
+        with pytest.raises(ValueError) as info:
+            parse_matrix(text)
+        assert str(info.value) == message
+
+    def test_the_same_text_with_ascii_spaces_parses(self):
+        for text in (f"1 2\n{self.HALF} {self.HALF}\n", f"1 2\n\n \n{self.HALF} {self.HALF}\n"):
+            assert parse_matrix(text).tolist() == [[float(self.HALF)] * 2]

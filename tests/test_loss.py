@@ -282,9 +282,9 @@ class TestMatrixFormat:
         "text, message",
         [
             ("2 3\n0 0 0\n0 0\n", "row 1 has 2 values, expected 3"),
-            ("1 2\n0 x\n", "could not convert string 'x' to float64 at row 0, column 2."),
-            ("1 2\n0 \u0663\n", "could not convert string '\u0663' to float64 at row 0, column 2."),
-            ("1 2\n0 1_0\n", "could not convert string '1_0' to float64 at row 0, column 2."),
+            ("1 2\n0 x\n", "row 0, column 1 holds 'x', not a number"),
+            ("1 2\n0 \u0663\n", "line 1, column 2 holds '\u0663', not ASCII"),
+            ("1 2\n0 1_0\n", "row 0, column 1 holds '1_0', not a number"),
             ("", "empty matrix file"),
             ("\n \n", "empty matrix file"),
         ],

@@ -650,9 +650,11 @@ class TestEvaluate:
         sweep = [ctcfst.skip.SweepPoint(0.9, 0.5, 0.6)]
         report = ctcfst.toy.ExperimentReport("standard", 0.0, sweep, 0.0, 0.6)
         assert report.ratio_at(0.9) == 0.5
-        with pytest.raises(KeyError) as info:
-            report.ratio_at(0.8)
-        assert info.value.args == ("threshold 0.8 not in sweep",)
+        # A ValueError, which the CLI reports, with the threshold written by format_number.
+        for beta, written in ((0.8, "0.8"), (0.1 + 0.2, "0.3")):
+            with pytest.raises(ValueError) as info:
+                report.ratio_at(beta)
+            assert str(info.value) == f"threshold {written} not in sweep"
 
     def test_edit_distance(self):
         assert edit_distance([1, 2, 3], [1, 2, 3]) == 0
