@@ -629,10 +629,11 @@ def emitting_graphs(draw, classes):
     size = draw(st.integers(1, 7))
     state = st.integers(0, size - 1)
     syms = draw(st.lists(st.integers(0, classes - 1), min_size=size, max_size=size))
+    # State 0 takes at least one in-arc: ``pack`` cannot take a batch without arcs.
     arcs = [
         (src, dst, draw(st.floats(-3.0, 3.0)))
         for dst in range(size)
-        for src in draw(st.lists(state, unique=True, min_size=dst == 0))
+        for src in draw(st.lists(state, unique=True, min_size=int(dst == 0)))
     ]
     return arcs, syms, sorted(draw(st.sets(state, min_size=1)))
 
