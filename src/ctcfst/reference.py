@@ -2,21 +2,23 @@
 
 Nothing here runs behind the ``ctcfst`` command or the trainer. The topology
 composed with the transcript (:func:`build_training_graph`) checks
-``topology.build_chain``; the classic alpha recursion (:func:`ctc_loss_alpha`)
-and a sum over enumerated alignments (:func:`brute_force_loss`) check
-``loss.ctc_loss``.
+``topology.build_chain``; every string that collapses to the transcript
+(:func:`brute_force_alignments`) checks ``topology.enumerate_alignments``; the
+classic alpha recursion (:func:`ctc_loss_alpha`) and a sum over those strings
+(:func:`brute_force_loss`) check ``loss.ctc_loss``. None reads the CTC chain.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InfeasibleAlignmentError
-from .fsa import EPSILON, TERMINAL, Fst, parse_float, parse_int
+from .fsa import BLANK, EPSILON, TERMINAL, Fst, parse_float, parse_int
 from .topology import (
-    STANDARD, TopologyVariant, _validate_labels, build_topology, enumerate_alignments
+    STANDARD, TopologyVariant, _check_enumeration, _validate_labels, build_topology, collapse_ctc
 )
 
 
@@ -210,6 +212,26 @@ def ctc_loss_alpha(labels: Sequence[int], grid) -> float:
     return float(-total)
 
 
+def _max_nonblank_run(alignment: Sequence[int]) -> int:
+    return max((len(list(g)) for k, g in itertools.groupby(alignment) if k != BLANK), default=0)
+
+
+def brute_force_alignments(
+    labels: Sequence[int], frames: int, variant: TopologyVariant = STANDARD
+) -> set[tuple[int, ...]]:
+    """The alignment set by definition: every length-``frames`` string over
+    blank and the transcript's symbols that collapses to the transcript, with
+    no non-blank run over a hard bound. Guarded as ``enumerate_alignments`` is.
+    """
+    _check_enumeration(labels, frames)
+    bound = variant.max_run if variant.kind == "hard" else frames
+    return {
+        candidate
+        for candidate in itertools.product([BLANK, *sorted(set(labels))], repeat=frames)
+        if collapse_ctc(candidate) == list(labels) and _max_nonblank_run(candidate) <= bound
+    }
+
+
 def _soft_penalty(alignment: Sequence[int], penalty: float) -> float:
     # One penalty per non-blank self-loop traversal: run length minus one.
     return sum((penalty for prev, k in zip(alignment, alignment[1:]) if k != 0 and k == prev), 0.0)
@@ -218,13 +240,14 @@ def _soft_penalty(alignment: Sequence[int], penalty: float) -> float:
 def brute_force_loss(
     labels: Sequence[int], grid, variant: TopologyVariant = STANDARD
 ) -> float:
-    """Loss by direct summation over enumerated alignments (test oracle).
+    """Loss by direct summation over the alignments of
+    :func:`brute_force_alignments` (test oracle), not over the CTC chain.
 
     Inherits the enumeration guard (frames <= 12, <= 4 distinct symbols).
     """
     grid = np.asarray(grid, dtype=float)
     num_frames = grid.shape[0]
-    alignments = enumerate_alignments(labels, num_frames, variant)
+    alignments = brute_force_alignments(labels, num_frames, variant)
     if not alignments:
         raise InfeasibleAlignmentError(num_frames, len(labels), variant)
     scores = []

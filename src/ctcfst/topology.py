@@ -132,7 +132,8 @@ def _run_shape(variant: TopologyVariant, num_frames: float = float("inf")):
     return 1, -variant.penalty if variant.kind == "soft" else 0.0
 
 
-def _chain(labels: Sequence[int], variant: TopologyVariant, num_frames: float, vocab_size: int):
+def _chain(labels: Sequence[int], variant: TopologyVariant, num_frames: float,
+           vocab_size: int | None):
     """The CTC chain of ``labels`` for the engine and ``build_chain``: arcs ``(src, dst,
     weight)`` sorted so that each state's arcs enter and leave in state order, state
     symbols and final states. Raises ``ValueError`` for a label outside 1..``vocab_size``."""
@@ -185,43 +186,31 @@ def collapse_ctc(alignment: Iterable[int]) -> list[int]:
     return [k for k, _ in itertools.groupby(alignment) if k != BLANK]
 
 
-def _max_nonblank_run(alignment: Sequence[int]) -> int:
-    longest = 0
-    for k, group in itertools.groupby(alignment):
-        if k != BLANK:
-            longest = max(longest, sum(1 for _ in group))
-    return longest
+def _check_enumeration(labels: Sequence[int], frames: int) -> None:
+    """The guard of ``align`` and the brute-force oracle, checked in this order."""
+    _validate_labels(labels, None)
+    if frames < 0:
+        raise ValueError(f"frames must be >= 0, got {frames}")
+    if frames > MAX_ENUM_FRAMES or len(set(labels)) > MAX_ENUM_SYMBOLS:
+        raise ValueError(f"enumeration guard: need frames <= {MAX_ENUM_FRAMES} and "
+                         f"<= {MAX_ENUM_SYMBOLS} distinct symbols")
 
 
 def enumerate_alignments(
     labels: Sequence[int], frames: int, variant: TopologyVariant = STANDARD
 ) -> set[tuple[int, ...]]:
-    """Brute-force the alignment set: every length-``frames`` string over
-    blank plus the transcript's symbols that collapses to the transcript,
-    filtered by the hard run-length rule when applicable.
-
-    Guarded to ``frames`` <= 12 and <= 4 distinct symbols: it serves
-    ``align`` and the brute-force oracle, not the loss.
-    """
-    _validate_labels(labels, None)
-    if frames < 0:
-        raise ValueError(f"frames must be >= 0, got {frames}")
-    symbols = sorted(set(labels))
-    if frames > MAX_ENUM_FRAMES or len(symbols) > MAX_ENUM_SYMBOLS:
-        raise ValueError(
-            f"enumeration guard: need frames <= {MAX_ENUM_FRAMES} and "
-            f"<= {MAX_ENUM_SYMBOLS} distinct symbols"
-        )
-    alphabet = [BLANK] + symbols
-    target = list(labels)
-    out: set[tuple[int, ...]] = set()
-    for candidate in itertools.product(alphabet, repeat=frames):
-        if collapse_ctc(candidate) != target:
-            continue
-        if variant.kind == "hard" and _max_nonblank_run(candidate) > variant.max_run:
-            continue
-        out.add(candidate)
-    return out
+    """The alignments ``align`` prints: the symbols along every path of ``frames``
+    arcs from state 0 to a final state of :func:`_chain`. Guarded to ``frames``
+    <= 12 and <= 4 distinct symbols; ``reference.brute_force_alignments`` checks it."""
+    _check_enumeration(labels, frames)
+    arcs, syms, finals = _chain(labels, variant, frames, None)
+    paths = {0: [()]}  # state -> the symbol strings of the paths that end there
+    for _ in range(frames):
+        ahead = {}
+        for src, dst, _ in arcs:
+            ahead.setdefault(dst, []).extend(p + (syms[dst],) for p in paths.get(src, ()))
+        paths = ahead
+    return {p for state in finals for p in paths.get(state, ())}
 
 
 # benchmarks/run.py reads build_training_graph here. Last: reference imports this module.
