@@ -216,7 +216,7 @@ def _slots(column, offset, weight, width) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(column, kind="stable")
     column = column[order]
     slot = np.arange(len(column)) - np.searchsorted(column, column)  # rank within the column
-    offsets = np.zeros((slot.max() + 1, width), dtype=np.intp)
+    offsets = np.zeros((slot.max(initial=0) + 1, width), dtype=np.intp)  # >= 1 row
     weights = np.full(offsets.shape, -np.inf)
     offsets[slot, column] = offset[order]
     weights[slot, column] = weight[order]
@@ -229,8 +229,11 @@ def pack(chains: Sequence[tuple], num_classes: int) -> GraphBatch:
     CTC chain it decides: arcs ``(src, dst, weight)`` out of start state 0,
     the symbol each state's in-arcs read and the final states. One
     :func:`_slots` call over the arcs listed twice writes the slot table, in
-    the arcs' order. Raises ``ValueError`` for a symbol outside 0..C-1.
+    the arcs' order. A graph may have no arc; its only path reads 0 frames.
+    Raises ``ValueError`` for an empty batch or a symbol outside 0..C-1.
     """
+    if not chains:
+        raise ValueError("pack needs at least one graph")
     arcs, syms, finals = zip(*chains)
     states = np.array([len(s) for s in syms])
     base = np.cumsum(states) - states
@@ -240,7 +243,7 @@ def pack(chains: Sequence[tuple], num_classes: int) -> GraphBatch:
     if bad.size:
         raise ValueError(f"chain symbol {bad[0]} outside 0..{num_classes - 1}")
     # ``_chain`` sorts its arcs by (source, destination), and the slots keep that order.
-    src, dst, weight = np.array(list(itertools.chain.from_iterable(arcs))).T
+    src, dst, weight = np.array(list(itertools.chain.from_iterable(arcs)), float).reshape(-1, 3).T
     shift = np.repeat(base, [len(a) for a in arcs])
     src, dst = src.astype(np.intp) + shift, dst.astype(np.intp) + shift
     column = np.concatenate([src, nodes + dst])  # leaving src, entering dst
@@ -322,8 +325,9 @@ def grad_check(
     """Max relative error between analytic and central-difference gradients.
 
     The chain is built once, packed and laid out as 2C copies; each frame t
-    runs that layout on its C up- and C down-bumped logit grids. Each
-    quotient divides by the step the rounded bumps made, not by 2 epsilon.
+    runs that layout on its C up- and C down-bumped logit grids and reads
+    only the totals, the loss being minus the total. Each quotient divides
+    by the step the rounded bumps made, not by 2 epsilon.
     """
     if not 0 < epsilon < np.inf:
         raise ValueError(f"epsilon must be a finite positive number, got {format_number(epsilon)}")
@@ -348,8 +352,8 @@ def grad_check(
         bumped = np.repeat(logits[None], 2 * classes, axis=0)
         bumped[cols, t, cols] = up[t]
         bumped[classes + cols, t, cols] = down[t]
-        loss = batch_loss(layout, log_softmax(bumped))[0]
-        numeric[t] = (loss[:classes] - loss[classes:]) / step[t]
+        total = layout.run(log_softmax(bumped))[0]
+        numeric[t] = (total[classes:] - total[:classes]) / step[t]
     return float((np.abs(analytic - numeric) / (np.abs(numeric) + 1e-8)).max())
 
 

@@ -51,6 +51,10 @@ class TopologyVariant:
             raise ValueError("soft penalty must be >= 0")
         if self.kind == "hard" and self.max_run < 1:
             raise ValueError("hard repeat bound must be >= 1")
+        if self.kind != "soft" and self.penalty != 0:  # -0 passes, NaN does not
+            raise ValueError(f"a {self.kind} topology takes no penalty")
+        if self.kind != "hard" and self.max_run != 0:
+            raise ValueError(f"a {self.kind} topology takes no repeat bound")
         # A penalty of -0 is 0, so that soft(-0) has the name and weights of soft(0).
         object.__setattr__(self, "penalty", self.penalty + 0.0)
 

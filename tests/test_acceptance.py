@@ -21,7 +21,6 @@ from ctcfst import (
     CorpusConfig,
     InfeasibleAlignmentError,
     ctc_loss,
-    enumerate_alignments,
     evaluate,
     gamma_max,
     generate_corpus,
@@ -33,7 +32,9 @@ from ctcfst import (
 )
 from ctcfst.cli import main
 from ctcfst.lattice import intersect_dense, iterate_paths
-from ctcfst.reference import brute_force_loss, build_training_graph, ctc_loss_alpha
+from ctcfst.reference import (
+    brute_force_alignments, brute_force_loss, build_training_graph, ctc_loss_alpha
+)
 from ctcfst.toy import DEFAULT_RUNS, ExperimentConfig
 
 ACCEPTANCE_VARIANTS = (STANDARD, soft(0.05), soft(5.0), hard(1), hard(2))
@@ -77,7 +78,7 @@ def test_criterion_01_oracle_equivalence():
         for frames in range(1, 7):
             grid = random_grid(rng, frames, vocab + 1)
             for variant in ACCEPTANCE_VARIANTS:
-                want = enumerate_alignments(labels, frames, variant)
+                want = brute_force_alignments(labels, frames, variant)
                 lat = intersect_dense(
                     build_training_graph(labels, vocab, variant), grid
                 )

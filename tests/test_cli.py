@@ -41,6 +41,10 @@ class TestAlign:
         assert code == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 3
 
+    def test_the_guard_limit_prints_every_alignment(self, capsys):
+        assert main(["align", "--labels", "A,B,C,D", "--frames", "12"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 12870
+
     def test_negative_frames_exits_one(self, capsys):
         assert main(["align", "--labels", "A", "--frames", "-1"]) == 1
         err = capsys.readouterr().err
@@ -1022,7 +1026,8 @@ RE_EXPORTS = {
     ("topology", "ctcfst.reference", "build_training_graph"),
     ("loss", "ctcfst.reference", "ctc_loss_alpha"),
 }
-ENGINE = {"pack", "_chain", "GraphBatch", "Layout", "batch_loss"}
+# The engine's parts, and enumerate_alignments, which walks the chain.
+ENGINE = {"pack", "_chain", "GraphBatch", "Layout", "batch_loss", "enumerate_alignments"}
 
 
 def imports(name):

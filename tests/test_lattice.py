@@ -11,14 +11,15 @@ from ctcfst import (
     Fst,
     NoPathError,
     build_chain,
-    enumerate_alignments,
     hard,
     log_softmax,
     soft,
 )
 from ctcfst.fsa import TERMINAL
 from ctcfst.lattice import intersect_dense, iterate_paths, occupancy, total_score
-from ctcfst.reference import _soft_penalty, brute_force_loss, build_training_graph
+from ctcfst.reference import (
+    _soft_penalty, brute_force_alignments, brute_force_loss, build_training_graph
+)
 
 
 def make_lattice(labels, grid, variant=STANDARD):
@@ -165,7 +166,7 @@ class TestAgainstBruteForce:
         rng = np.random.default_rng(seed)
         grid = log_softmax(rng.uniform(-scale, scale, (frames, VOCAB + 1)))
         lat = intersect_dense(build(labels, VOCAB, variant), grid)
-        alignments = enumerate_alignments(labels, frames, variant)
+        alignments = brute_force_alignments(labels, frames, variant)
         paths = dict(iterate_paths(lat))
         assert set(paths) == alignments
         if not alignments:

@@ -550,14 +550,21 @@ class TestLayoutSlotTable:
 
 class TestOneLossHome:
     """``batch_loss`` is the one home of the loss, the logit gradient and the
-    occupancy: ``ctc_loss``, ``grad_check`` and the trainer all reach it."""
+    occupancy: ``ctc_loss``, ``grad_check`` and the trainer all reach it.
+    ``grad_check``'s bumped grids need only their totals, read from ``Layout.run``."""
 
     def test_every_caller_reaches_batch_loss(self, monkeypatch):
-        calls = []
+        calls, runs, run = [], [], ctcfst.loss.Layout.run
 
         def spy(*args, **kwargs):
             calls.append(args[1].shape)
             return batch_loss(*args, **kwargs)
+
+        def run_spy(layout, grids):
+            runs.append(grids.shape)
+            return run(layout, grids)
+
+        monkeypatch.setattr(ctcfst.loss.Layout, "run", run_spy)
 
         for module in (ctcfst.loss, ctcfst.toy):
             if hasattr(module, "batch_loss"):
@@ -566,9 +573,10 @@ class TestOneLossHome:
         ctc_loss(labels, grid)
         assert calls == [(1, 6, 4)]
         grad_check(labels, grid)
-        # One call for the analytic gradient, then one per frame for the
-        # 2C bumped grids.
-        assert calls[1:] == [(1, 6, 4)] + [(8, 6, 4)] * 6
+        # One call for the analytic gradient; each frame's 2C bumped grids
+        # are run for their totals alone.
+        assert calls[1:] == [(1, 6, 4)]
+        assert runs[1:] == [(1, 6, 4)] + [(8, 6, 4)] * 6
         corpus = ctcfst.generate_corpus(ctcfst.CorpusConfig(num_utterances=3, seed=2))
         del calls[:]
         ctcfst.train(corpus, steps=2)
@@ -598,6 +606,28 @@ class TestChainEntryPoint:
         grad_check([1, 20, 20], logits, hard(2))
         # ctc_loss's chain for the analytic gradient, then the one packed 2C times.
         assert built == [([1, 20, 20], hard(2), 4, 20)] * 2
+
+    def test_pack_refuses_an_empty_batch(self):
+        with pytest.raises(ValueError) as info:
+            pack([], 2)
+        assert str(info.value) == "pack needs at least one graph"
+
+    def test_a_graph_without_arcs_reads_no_frame(self):
+        batch = pack([([], [0], [0])], 2)
+        assert batch.offset.tolist() == [[0, 0]] and batch.weight.tolist() == [[-np.inf] * 2]
+        total, occupancy = batch.layout(np.zeros((1, 3), bool)).run(np.zeros((1, 3, 2)))
+        assert total.tolist() == [0.0] and not occupancy.any()
+        with pytest.raises(NoPathError):
+            batch.layout(np.ones((1, 3), bool)).run(np.zeros((1, 3, 2)))
+
+    def test_a_graph_without_arcs_leaves_a_chain_beside_it_bit_for_bit(self):
+        chain = _chain([1, 2, 2], hard(2), 8, 3)
+        grids = log_softmax(np.random.default_rng(36).standard_normal((2, 8, 4)))
+        alone = pack([chain], 4).layout(np.ones((1, 8), bool)).run(grids[:1])
+        keep = np.array([[True] * 8, [False] * 8])
+        total, occupancy = pack([chain, ([], [0], [0])], 4).layout(keep).run(grids)
+        assert total.tolist() == [alone[0][0], 0.0]
+        assert np.array_equal(occupancy[:1], alone[1]) and not occupancy[1].any()
 
     @pytest.mark.parametrize("labels, bad", [([1, 3], 3), ([0], 0), ([2, -1], -1)])
     def test_every_caller_refuses_a_label_in_the_words_of_the_chain(self, labels, bad):
@@ -629,11 +659,10 @@ def emitting_graphs(draw, classes):
     size = draw(st.integers(1, 7))
     state = st.integers(0, size - 1)
     syms = draw(st.lists(st.integers(0, classes - 1), min_size=size, max_size=size))
-    # State 0 takes at least one in-arc: ``pack`` cannot take a batch without arcs.
     arcs = [
         (src, dst, draw(st.floats(-3.0, 3.0)))
         for dst in range(size)
-        for src in draw(st.lists(state, unique=True, min_size=int(dst == 0)))
+        for src in draw(st.lists(state, unique=True))
     ]
     return arcs, syms, sorted(draw(st.sets(state, min_size=1)))
 

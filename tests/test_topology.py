@@ -1,4 +1,5 @@
 import itertools
+import math
 from collections import Counter
 
 import numpy as np
@@ -18,7 +19,7 @@ from ctcfst import (
     soft,
 )
 from ctcfst.lattice import intersect_dense, iterate_paths, total_score
-from ctcfst.reference import build_linear_graph, build_training_graph
+from ctcfst.reference import brute_force_alignments, build_linear_graph, build_training_graph
 
 
 def lattice_label_sets(labels, vocab, frames, variant):
@@ -42,6 +43,15 @@ class TestVariant:
             TopologyVariant("hard", max_run=0)
         with pytest.raises(ValueError):
             TopologyVariant("fuzzy")
+        for kind, penalty, max_run in [("standard", 3.0, 0), ("hard", 5.0, 2),
+                                       ("standard", np.nan, 0)]:
+            with pytest.raises(ValueError, match=f"^a {kind} topology takes no penalty$"):
+                TopologyVariant(kind, penalty, max_run)
+        for kind in ("standard", "soft"):
+            with pytest.raises(ValueError, match=f"^a {kind} topology takes no repeat bound$"):
+                TopologyVariant(kind, max_run=2)
+        assert TopologyVariant("standard", penalty=-0.0) == STANDARD
+        assert TopologyVariant("hard", penalty=-0.0, max_run=2) == hard(2)
 
     def test_names(self):
         assert str(STANDARD) == "standard"
@@ -134,7 +144,7 @@ class TestTrainingGraph:
             for frames in range(1, 6):
                 for variant in variants:
                     got = lattice_label_sets(labels, vocab, frames, variant)
-                    want = enumerate_alignments(labels, frames, variant)
+                    want = brute_force_alignments(labels, frames, variant)
                     assert got == want, (labels, frames, str(variant))
 
     def test_soft_zero_equals_standard_scores(self):
@@ -277,3 +287,18 @@ class TestEnumerationGuard:
     def test_minimal_and_infeasible_lengths(self):
         assert enumerate_alignments([1, 2], 2) == {(1, 2)}
         assert enumerate_alignments([1, 2], 1) == set()
+
+
+class TestChainWalk:
+    """``enumerate_alignments`` walks the CTC chain; the oracle tries every string."""
+
+    def test_equals_the_brute_force_oracle(self):
+        for labels in label_sequences(3):
+            for frames in range(7):
+                for variant in (STANDARD, soft(0.5), hard(1), hard(2), hard(3)):
+                    want = brute_force_alignments(labels, frames, variant)
+                    assert enumerate_alignments(labels, frames, variant) == want
+
+    def test_count_without_repeats_is_the_closed_form_at_the_guard(self):
+        # Labels without repeats: C(T + U, 2U) alignments.
+        assert len(enumerate_alignments([1, 2, 3, 4], 12)) == math.comb(16, 8) == 12870
