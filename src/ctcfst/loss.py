@@ -216,7 +216,8 @@ def _slots(column, offset, weight, width) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(column, kind="stable")
     column = column[order]
     slot = np.arange(len(column)) - np.searchsorted(column, column)  # rank within the column
-    offsets = np.zeros((slot.max(initial=0) + 1, width), dtype=np.intp)  # >= 1 row
+    # At least one row, all padding when no graph has an arc.
+    offsets = np.zeros((slot.max(initial=0) + 1, width), dtype=np.intp)
     weights = np.full(offsets.shape, -np.inf)
     offsets[slot, column] = offset[order]
     weights[slot, column] = weight[order]

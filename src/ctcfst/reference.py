@@ -240,8 +240,7 @@ def _soft_penalty(alignment: Sequence[int], penalty: float) -> float:
 def brute_force_loss(
     labels: Sequence[int], grid, variant: TopologyVariant = STANDARD
 ) -> float:
-    """Loss by direct summation over the alignments of
-    :func:`brute_force_alignments` (test oracle), not over the CTC chain.
+    """Loss by direct summation over :func:`brute_force_alignments` (test oracle).
 
     Inherits the enumeration guard (frames <= 12, <= 4 distinct symbols).
     """
