@@ -18,8 +18,10 @@ import numpy as np
 from .errors import InfeasibleAlignmentError
 from .fsa import BLANK, EPSILON, TERMINAL, Fst, parse_float, parse_int
 from .topology import (
-    STANDARD, TopologyVariant, _check_enumeration, _validate_labels, build_topology, collapse_ctc
+    MAX_ENUM_FRAMES, STANDARD, TopologyVariant, _validate_labels, build_topology, collapse_ctc
 )
+
+MAX_ENUM_SYMBOLS = 4  # the brute force tries (symbols + 1) ** frames strings
 
 
 def _reachable(seed: int, edges: list[list[int]]) -> list[bool]:
@@ -221,9 +223,15 @@ def brute_force_alignments(
 ) -> set[tuple[int, ...]]:
     """The alignment set by definition: every length-``frames`` string over
     blank and the transcript's symbols that collapses to the transcript, with
-    no non-blank run over a hard bound. Guarded as ``enumerate_alignments`` is.
+    no non-blank run over a hard bound. Guarded to ``frames`` <= 12, the bound
+    of ``enumerate_alignments``, and to <= 4 distinct symbols, its own.
     """
-    _check_enumeration(labels, frames)
+    _validate_labels(labels, None)
+    if frames < 0:
+        raise ValueError(f"frames must be >= 0, got {frames}")
+    if frames > MAX_ENUM_FRAMES or len(set(labels)) > MAX_ENUM_SYMBOLS:
+        raise ValueError(f"enumeration guard: need frames <= {MAX_ENUM_FRAMES} and "
+                         f"<= {MAX_ENUM_SYMBOLS} distinct symbols")
     bound = variant.max_run if variant.kind == "hard" else frames
     return {
         candidate

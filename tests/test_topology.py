@@ -281,8 +281,9 @@ class TestEnumerationGuard:
             enumerate_alignments([1], 13)
 
     def test_symbol_guard(self):
+        # The brute force's limit: align walks the chain over any symbols.
         with pytest.raises(ValueError, match="guard"):
-            enumerate_alignments([1, 2, 3, 4, 5], 4)
+            brute_force_alignments([1, 2, 3, 4, 5], 4)
 
     def test_minimal_and_infeasible_lengths(self):
         assert enumerate_alignments([1, 2], 2) == {(1, 2)}
