@@ -186,7 +186,8 @@ class Layout:
         post -= np.repeat(total[self.graph_of], self.count)
         np.exp(post, out=post)
         occupancy = np.bincount(self.cell, post, minlength=grids.size).reshape(grids.shape)
-        return total[self.unorder], occupancy
+        # With no kept frame, post is empty and bincount counts in integers.
+        return total[self.unorder], occupancy.astype(float, copy=False)
 
 
 def _log_add_arcs(src, index, weight, out) -> None:

@@ -80,9 +80,10 @@ def hard(max_run: int) -> TopologyVariant:
 
 def _validate_labels(labels: Sequence[int], vocab_size: int | None) -> None:
     for tok in labels:
-        if tok < 1 or (vocab_size is not None and tok > vocab_size):
-            hi = vocab_size if vocab_size is not None else "?"
-            raise ValueError(f"label {tok} outside vocabulary range 1..{hi}")
+        if vocab_size is not None and not 1 <= tok <= vocab_size:
+            raise ValueError(f"label {tok} outside vocabulary range 1..{vocab_size}")
+        if tok < 1:
+            raise ValueError(f"label {tok} must be >= 1")
 
 
 def _check_size(arcs: int) -> None:

@@ -1,6 +1,9 @@
 import ast
+import contextlib
 import errno
 import inspect
+import io
+import itertools
 import json
 import math
 import os
@@ -9,6 +12,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ctcfst
 from ctcfst import STANDARD, cli, fst_to_text, hard, lattice, reference, soft, toy
@@ -44,11 +49,84 @@ class TestAlign:
     def test_the_guard_limit_prints_every_alignment(self, capsys):
         assert main(["align", "--labels", "A,B,C,D", "--frames", "12"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 12870
+        # Five distinct symbols: the most alignments any transcript has at 12 frames.
+        assert main(["align", "--labels", "A,B,C,D,E", "--frames", "12"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 19448
+
+    @pytest.mark.parametrize("labels, frames, message", [
+        ("A,B,C,D,E", "13", "enumeration guard: need frames <= 12"),
+        ("0", "3", "label 0 must be >= 1"),
+        ("1,-2", "3", "label -2 must be >= 1"),
+    ])
+    def test_guard_and_label_errors_exit_one(self, capsys, labels, frames, message):
+        assert main(["align", "--labels", labels, "--frames", frames]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_negative_frames_exits_one(self, capsys):
         assert main(["align", "--labels", "A", "--frames", "-1"]) == 1
         err = capsys.readouterr().err
         assert err == "error: frames must be >= 0, got -1\n"
+
+
+LETTERS = st.sampled_from("ABCDEFGH")
+ITEMS = st.one_of(
+    LETTERS, st.integers(-1, 9).map(str), st.sampled_from(["", "AB", "1_0", "\u0661"])
+)
+# The five variants, each with the run bound its alignments keep, and one
+# flag that belongs to another variant.
+VARIANT_FLAGS = [
+    ([], None), (["--variant", "soft", "--lambda", "0.5"], None),
+    (["--variant", "hard", "--k", "1"], 1), (["--variant", "hard", "--k", "2"], 2),
+    (["--variant", "hard", "--k", "20"], 20), (["--variant", "soft", "--k", "2"], None),
+]
+
+
+class TestAlignGenerated:
+    """``align`` in process on generated argv: it exits 0, 1 or 2 with no
+    other exception, and on 0 prints what the alignment rule admits, read
+    back from the text alone."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        items=st.one_of(st.lists(LETTERS, max_size=7),
+                        st.lists(st.integers(1, 9).map(str), max_size=7),
+                        st.lists(ITEMS, max_size=7)),
+        frames=st.integers(-2, 14),
+        variant=st.sampled_from(VARIANT_FLAGS),
+    )
+    def test_exit_codes_and_printed_alignments(self, items, frames, variant):
+        flags, bound = variant
+        argv = ["align", "--labels", ",".join(items), "--frames", str(frames), *flags]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+                assert code == 2, argv
+        out, err = out.getvalue(), err.getvalue()
+        if code == 2:
+            usage_errors = [line for line in err.splitlines() if "error: " in line]
+            assert usage_errors == err.splitlines()[-1:], argv
+            assert usage_errors[0].startswith("ctcfst align: error: ")
+            return
+        if code == 1:
+            assert out == "" and err.count("\n") == 1 and err.startswith("error: "), argv
+            return
+        assert code == 0 and err == "", argv
+        # Exit 0: every item is a letter (printed "-ABC..."), or every item an integer.
+        if items and all(item.isalpha() for item in items):
+            labels = ["-ABCDEFGH".index(item) for item in items]
+            parsed = [tuple(map("-ABCDEFGH".index, line)) for line in out.splitlines()]
+        else:
+            labels = [int(item) for item in items]
+            parsed = [tuple(map(int, line.split())) for line in out.splitlines()]
+        assert parsed == sorted(set(parsed)), argv
+        for alignment in parsed:
+            assert len(alignment) == frames, (argv, alignment)
+            assert [k for k, _ in itertools.groupby(alignment) if k] == labels, (argv, alignment)
+            runs = [len(list(run)) for k, run in itertools.groupby(alignment) if k]
+            assert max(runs, default=0) <= (bound or frames), (argv, alignment)
 
 
 class TestLoss:

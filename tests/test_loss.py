@@ -629,6 +629,25 @@ class TestChainEntryPoint:
         assert total.tolist() == [alone[0][0], 0.0]
         assert np.array_equal(occupancy[:1], alone[1]) and not occupancy[1].any()
 
+    def test_occupancy_is_float_when_no_graph_keeps_a_frame(self):
+        # bincount over no kept cell would count in integers.
+        for graph in (_chain([], STANDARD, 3, 2), ([], [0], [0])):
+            total, occupancy = pack([graph], 3).layout(np.zeros((1, 3), bool)).run(
+                np.zeros((1, 3, 3))
+            )
+            assert total.tolist() == [0.0] and not occupancy.any()
+            assert occupancy.dtype == np.float64 and occupancy.shape == (1, 3, 3)
+
+    def test_a_chain_that_keeps_no_frame_beside_one_that_keeps_all(self):
+        chain = _chain([1, 2], soft(0.5), 5, 2)
+        grids = log_softmax(np.random.default_rng(37).standard_normal((2, 5, 3)))
+        alone = pack([chain], 3).layout(np.ones((1, 5), bool)).run(grids[1:])
+        keep = np.array([[False] * 5, [True] * 5])
+        batch = pack([_chain([], STANDARD, 5, 2), chain], 3)
+        total, occupancy = batch.layout(keep).run(grids)
+        assert total.tolist() == [0.0, alone[0][0]] and occupancy.dtype == np.float64
+        assert np.array_equal(occupancy[1:], alone[1]) and not occupancy[0].any()
+
     @pytest.mark.parametrize("labels, bad", [([1, 3], 3), ([0], 0), ([2, -1], -1)])
     def test_every_caller_refuses_a_label_in_the_words_of_the_chain(self, labels, bad):
         message = f"label {bad} outside vocabulary range 1..2"

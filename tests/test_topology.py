@@ -117,7 +117,7 @@ class TestLinearGraph:
     def test_out_of_vocabulary_rejected(self):
         with pytest.raises(ValueError, match="vocabulary"):
             build_linear_graph([1, 3], vocab_size=2)
-        with pytest.raises(ValueError, match="vocabulary"):
+        with pytest.raises(ValueError, match="^label 0 must be >= 1$"):
             build_linear_graph([0])
 
 
@@ -285,6 +285,23 @@ class TestEnumerationGuard:
         with pytest.raises(ValueError, match="guard"):
             brute_force_alignments([1, 2, 3, 4, 5], 4)
 
+    def test_messages_and_their_order(self):
+        cases = [
+            (enumerate_alignments, [0], 13, "label 0 must be >= 1"),
+            (enumerate_alignments, [1], -1, "frames must be >= 0, got -1"),
+            (enumerate_alignments, [1, 2, 3, 4, 5], 13, "enumeration guard: need frames <= 12"),
+            (brute_force_alignments, [0], 13, "label 0 must be >= 1"),
+            (brute_force_alignments, [1, 2, 3, 4, 5], -1, "frames must be >= 0, got -1"),
+        ] + [
+            (brute_force_alignments, labels, frames,
+             "enumeration guard: need frames <= 12 and <= 4 distinct symbols")
+            for labels, frames in [([1], 13), ([1, 2, 3, 4, 5], 4), ([1, 2, 3, 4, 5], 13)]
+        ]
+        for enumerate_, labels, frames, message in cases:
+            with pytest.raises(ValueError) as info:
+                enumerate_(labels, frames)
+            assert str(info.value) == message, (enumerate_.__name__, labels, frames)
+
     def test_minimal_and_infeasible_lengths(self):
         assert enumerate_alignments([1, 2], 2) == {(1, 2)}
         assert enumerate_alignments([1, 2], 1) == set()
@@ -300,6 +317,18 @@ class TestChainWalk:
                     want = brute_force_alignments(labels, frames, variant)
                     assert enumerate_alignments(labels, frames, variant) == want
 
+    def test_equals_the_composed_oracle_past_the_brute_force_symbol_limit(self):
+        # 5-7 distinct symbols, which the brute force refuses.
+        label_sets = [[1, 2, 3, 4, 5], [1, 2, 2, 3, 4, 5], [5, 4, 3, 2, 1, 6],
+                      [3, 1, 4, 1, 5, 9, 2], [1, 2, 3, 4, 5, 6, 7]]
+        for labels in label_sets:
+            for frames in range(1, 8):
+                for variant in (STANDARD, soft(0.5), hard(1), hard(2), hard(3)):
+                    want = lattice_label_sets(labels, max(labels), frames, variant)
+                    assert enumerate_alignments(labels, frames, variant) == want
+
     def test_count_without_repeats_is_the_closed_form_at_the_guard(self):
-        # Labels without repeats: C(T + U, 2U) alignments.
-        assert len(enumerate_alignments([1, 2, 3, 4], 12)) == math.comb(16, 8) == 12870
+        # Labels without repeats: C(T + U, 2U) alignments, at most 19448 at T = 12.
+        for symbols, count in [(4, 12870), (5, 19448), (6, 18564), (7, 11628)]:
+            got = len(enumerate_alignments(list(range(1, symbols + 1)), 12))
+            assert got == math.comb(12 + symbols, 2 * symbols) == count
