@@ -198,11 +198,12 @@ def enumerate_alignments(
     """The alignments ``align`` prints, over any number of distinct symbols: the symbols
     along every path of ``frames`` arcs from state 0 to a final state of :func:`_chain`.
     Its one guard is ``frames`` <= 12; ``reference.brute_force_alignments`` checks it."""
-    arcs, syms, finals = _chain(labels, variant, frames, None)
+    _validate_labels(labels, None)
     if frames < 0:
         raise ValueError(f"frames must be >= 0, got {frames}")
-    if frames > MAX_ENUM_FRAMES:
+    if frames > MAX_ENUM_FRAMES:  # before _chain: a hard run is max_run states deep
         raise ValueError(f"enumeration guard: need frames <= {MAX_ENUM_FRAMES}")
+    arcs, syms, finals = _chain(labels, variant, frames, None)
     paths = {0: [()]}  # state -> the symbol strings of the paths that end there
     for _ in range(frames):
         ahead = {}

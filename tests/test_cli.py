@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ctcfst
@@ -67,17 +67,35 @@ class TestAlign:
         err = capsys.readouterr().err
         assert err == "error: frames must be >= 0, got -1\n"
 
+    def test_frame_guard_comes_before_a_deep_hard_chain(self, capsys):
+        # A hard(10**9) chain is 10**9 states deep; the guard refuses it unbuilt.
+        # Capping the address space 2 GiB above today's use turns a build into
+        # a MemoryError with another message, not a machine out of memory.
+        with open("/proc/self/statm") as statm:
+            in_use = int(statm.read().split()[0]) * resource.getpagesize()
+        limits = resource.getrlimit(resource.RLIMIT_AS)
+        resource.setrlimit(resource.RLIMIT_AS, (in_use + 2**31, limits[1]))
+        try:
+            argv = ["align", "--labels", "A", "--variant", "hard", "--k", "1000000000",
+                    "--frames", "1000000001"]
+            assert main(argv) == 1
+        finally:
+            resource.setrlimit(resource.RLIMIT_AS, limits)
+        assert capsys.readouterr() == ("", "error: enumeration guard: need frames <= 12\n")
+
 
 LETTERS = st.sampled_from("ABCDEFGH")
 ITEMS = st.one_of(
     LETTERS, st.integers(-1, 9).map(str), st.sampled_from(["", "AB", "1_0", "\u0661"])
 )
-# The five variants, each with the run bound its alignments keep, and one
-# flag that belongs to another variant.
+# The five variant flag sets and hard(13), which runs as standard up to the
+# frame guard and is refused past it, each with the run bound its alignments
+# keep, and one flag that belongs to another variant.
 VARIANT_FLAGS = [
     ([], None), (["--variant", "soft", "--lambda", "0.5"], None),
     (["--variant", "hard", "--k", "1"], 1), (["--variant", "hard", "--k", "2"], 2),
-    (["--variant", "hard", "--k", "20"], 20), (["--variant", "soft", "--k", "2"], None),
+    (["--variant", "hard", "--k", "13"], 13), (["--variant", "hard", "--k", "20"], 20),
+    (["--variant", "soft", "--k", "2"], None),
 ]
 
 
@@ -94,6 +112,8 @@ class TestAlignGenerated:
         frames=st.integers(-2, 14),
         variant=st.sampled_from(VARIANT_FLAGS),
     )
+    # A hard bound past the frame guard but below the frame count.
+    @example(items=["A", "B"], frames=14, variant=VARIANT_FLAGS[4])
     def test_exit_codes_and_printed_alignments(self, items, frames, variant):
         flags, bound = variant
         argv = ["align", "--labels", ",".join(items), "--frames", str(frames), *flags]
@@ -107,8 +127,8 @@ class TestAlignGenerated:
         out, err = out.getvalue(), err.getvalue()
         if code == 2:
             usage_errors = [line for line in err.splitlines() if "error: " in line]
-            assert usage_errors == err.splitlines()[-1:], argv
-            assert usage_errors[0].startswith("ctcfst align: error: ")
+            assert len(usage_errors) == 1 and usage_errors == err.splitlines()[-1:], argv
+            assert usage_errors[0].startswith("ctcfst align: error: "), argv
             return
         if code == 1:
             assert out == "" and err.count("\n") == 1 and err.startswith("error: "), argv
@@ -118,8 +138,8 @@ class TestAlignGenerated:
         if items and all(item.isalpha() for item in items):
             labels = ["-ABCDEFGH".index(item) for item in items]
             parsed = [tuple(map("-ABCDEFGH".index, line)) for line in out.splitlines()]
-        else:
-            labels = [int(item) for item in items]
+        else:  # items [""] give --labels "", the empty transcript
+            labels = [int(item) for item in items if item]
             parsed = [tuple(map(int, line.split())) for line in out.splitlines()]
         assert parsed == sorted(set(parsed)), argv
         for alignment in parsed:
